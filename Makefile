@@ -42,7 +42,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build fmt-check lint test race sparse-equiv acq-equiv fleet-smoke
+check: build fmt-check lint test race sparse-equiv acq-equiv metrics-smoke ckpt-smoke fleet-smoke
 
 # sparse-equiv runs the sparse-vs-exact equivalence suite on its own:
 # posterior error bounds against the exact oracle, bitwise sweep-plan and
@@ -55,15 +55,16 @@ sparse-equiv:
 	$(GO) test -count=1 -run 'TestSparse|TestAutoSwitch|TestEngine|TestCheckpointRestoreEquivalence|TestReadCheckpointInfoReportsEngine' ./internal/core
 	$(GO) test -count=1 -run 'TestLongHorizon' ./internal/experiment
 
-# acq-equiv runs the adaptive-acquisition equivalence suite: bitwise
-# SweepSubset-vs-Sweep agreement, the exhaustive-vs-adaptive twin-agent
-# exactness contract on small (randomized, non-uniform, split-carrying)
-# grids, bounded regret within the evaluation budget on grids above the
-# auto threshold, grid index-algebra properties, and the adaptive
-# checkpoint round-trip.
+# acq-equiv runs the acquisition equivalence suite: bitwise
+# SweepSubset-vs-PosteriorBatch agreement, SelectControl against a
+# brute-force scan of the selection rule written in test code, the
+# exhaustive-vs-adaptive twin-agent exactness contract on small
+# (randomized, non-uniform, split-carrying) grids, bounded regret within
+# the evaluation budget on grids above the auto threshold, grid
+# index-algebra properties, and the adaptive checkpoint round-trip.
 acq-equiv:
 	$(GO) test -count=1 -run 'TestSweepSubset' ./internal/gp
-	$(GO) test -count=1 -run 'TestGridNonUniform|TestAcqEquiv|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint' ./internal/core
+	$(GO) test -count=1 -run 'TestSelectControlMatchesBruteForce|TestGridNonUniform|TestAcqEquiv|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint' ./internal/core
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,
 # and greps for the documented core/gp/oran/testbed metric families.

@@ -8,12 +8,16 @@ import (
 	"repro/internal/gp"
 )
 
-// This file implements the adaptive acquisition engine: SelectControl
-// without materializing the grid. The exhaustive sweep computes every
-// candidate's posterior every period — perfect on the paper's 11⁴ grid,
-// hopeless on the 31⁴×8 ≈ 7.4M-candidate spaces the split-inference
-// dimension opens up. The adaptive engine evaluates a budgeted subset
-// chosen in three waves:
+// This file implements the acquisition engine, the one selection path of
+// SelectControl. It runs in one of two modes.
+//
+// Full coverage evaluates every grid point, in index order, so slot s is
+// grid index s. Exhaustive agents run it at any grid size, and adaptive
+// agents on grids at or below acqAutoThreshold.
+//
+// The budgeted mode serves adaptive agents above the threshold — the
+// 31⁴×8 ≈ 7.4M-candidate spaces the split-inference dimension opens up.
+// It evaluates a budgeted subset chosen in three waves:
 //
 //  1. a mandatory set — the safe seeds S₀ (the selection rules need their
 //     posteriors unconditionally) plus every training anchor (grid points
@@ -29,14 +33,12 @@ import (
 //     the frontier dies out, the evaluation budget is exhausted, or
 //     floodPatience pops go by without improving the best safe LCB.
 //
-// Every evaluated candidate flows through the same formulas as the
-// exhaustive sweep — same safety test, same LCB, same seed retirement and
-// fallback, same tie-breaking — so on grids small enough for wave 3 to be
-// replaced by full coverage (size ≤ acqAutoThreshold, which only happens
-// under a forced AcqAdaptive) the selected control, its LCB, and the
-// safe-set size are bitwise identical to the exhaustive engine's: the
-// contract the acq-equiv gate enforces. On larger grids the engine holds
-// a bounded optimum regret while evaluating a few percent of the grid.
+// Both modes score every evaluated candidate with the same formulas — same
+// safety test, same LCB, same seed retirement and fallback, same
+// tie-breaking on grid index — so where the adaptive mode covers the whole
+// grid it selects bitwise what an exhaustive agent selects: the contract
+// the acq-equiv gate enforces. On larger grids the budgeted mode holds a
+// bounded optimum regret while evaluating a few percent of the grid.
 const (
 	// informedSigma gates the safe-set test: a candidate is certified only
 	// when the posterior actually carries information about it — at prior
@@ -77,19 +79,17 @@ const (
 // paper's ≈2 %.
 func predSigma(s, zeta float64) float64 { return math.Sqrt(s*s + zeta*zeta) }
 
-// acqEngine is the pooled state of the adaptive acquisition. Every slice
-// is allocated once at construction to its worst-case size (the
-// evaluation budget), so the per-period hot loops never allocate: slot s
-// of idx/mu/sigma/lcb/rank/safe describes the s-th candidate evaluated
-// this period, in evaluation order.
+// acqEngine is the pooled state of the acquisition. Every slice is
+// allocated once at construction to its worst-case size (the evaluation
+// budget), so the per-period hot loops never allocate: slot s of
+// idx/mu/sigma/lcb/rank/safe describes the s-th candidate evaluated this
+// period, in evaluation order.
 type acqEngine struct {
 	a        *Agent
 	gridSize int
-	// small selects the full-coverage mode: every grid point is evaluated
-	// (in grid order, so slot == grid index) and the selection is
-	// structurally identical to the exhaustive sweep. Only reachable by
-	// forcing AcqAdaptive on a grid at or below acqAutoThreshold.
-	small   bool
+	// full selects the full-coverage mode: every grid point is evaluated
+	// in grid order, so slot == grid index.
+	full    bool
 	maxEval int
 
 	// dimN and strideFlat are the per-dimension level counts and flat-
@@ -106,7 +106,7 @@ type acqEngine struct {
 	rank      []uint8 // 0 safe, 1 informed-unsafe, 2 uninformed
 	safe      []bool
 
-	// seen is a grid-indexed dedup bitmap (large mode only).
+	// seen is a grid-indexed dedup bitmap (budgeted mode only).
 	seen []uint64
 	// heap is the flood's priority queue of slots, safest-cheapest first.
 	heap []int32
@@ -119,11 +119,6 @@ type acqEngine struct {
 	latIdx [ControlDims][]int32
 	// stride is the current multigrid stride per dimension.
 	stride [ControlDims]int
-
-	// featFlat/featRows back the generic PosteriorBatch fallback for
-	// objectives without a SweepPlan; allocated on first need.
-	featFlat []float64
-	featRows [][]float64
 
 	// Per-period scalars.
 	cbuf                [ContextDims]float64
@@ -158,12 +153,17 @@ func AcquisitionBudget(size int) int {
 	return budget
 }
 
-// newAcqEngine allocates the pooled adaptive-engine state for an agent.
+// newAcqEngine allocates the pooled acquisition state for an agent: full
+// coverage for exhaustive agents, and for adaptive agents the budget of
+// AcquisitionBudget.
 func newAcqEngine(a *Agent) *acqEngine {
 	g := a.opts.Grid
 	size := g.Size()
-	e := &acqEngine{a: a, gridSize: size, small: size <= acqAutoThreshold}
-	e.maxEval = AcquisitionBudget(size)
+	e := &acqEngine{a: a, gridSize: size, full: !a.adaptive || size <= acqAutoThreshold}
+	e.maxEval = size
+	if !e.full {
+		e.maxEval = AcquisitionBudget(size)
+	}
 	stride := 1
 	for d := ControlDims - 1; d >= 0; d-- {
 		e.dimN[d] = g.dimLevels(d)
@@ -184,12 +184,12 @@ func newAcqEngine(a *Agent) *acqEngine {
 	e.lcb = make([]float64, e.maxEval)
 	e.rank = make([]uint8, e.maxEval)
 	e.safe = make([]bool, e.maxEval)
-	if !e.small {
+	if !e.full {
 		e.seen = make([]uint64, (size+63)/64)
 	}
 	e.heap = make([]int32, 0, e.maxEval)
 	e.seedSlot = make([]int32, len(a.safeSeedIx))
-	if e.small {
+	if e.full {
 		// Full coverage: slot == grid index, so the seed slots are static.
 		for k, gi := range a.safeSeedIx {
 			e.seedSlot[k] = int32(gi)
@@ -200,26 +200,6 @@ func newAcqEngine(a *Agent) *acqEngine {
 		e.latIdx[d] = make([]int32, 0, e.dimN[d])
 	}
 	return e
-}
-
-// selectAdaptive is SelectControl under the adaptive engine: evaluate a
-// budgeted candidate subset, then select with the exhaustive engine's
-// exact semantics over the evaluated slots.
-func (a *Agent) selectAdaptive(ctx Context) (Control, SelectionInfo) {
-	start := time.Now()
-	e := a.acq
-	e.reset(ctx)
-	if e.small {
-		e.addAll()
-		e.flush()
-	} else {
-		e.addMandatory()
-		e.addCoarseLattice()
-		e.flush()
-		e.refine()
-		e.flood()
-	}
-	return e.finish(start)
 }
 
 // reset prepares the pooled state for one period.
@@ -245,7 +225,7 @@ func (e *acqEngine) reset(ctx Context) {
 }
 
 // add appends one candidate by grid index, deduplicated against the seen
-// bitmap and capped at the evaluation budget. Large mode only.
+// bitmap and capped at the evaluation budget. Budgeted mode only.
 //
 //edgebol:hot
 func (e *acqEngine) add(gi int) {
@@ -263,8 +243,8 @@ func (e *acqEngine) add(gi int) {
 	e.n++
 }
 
-// addAll stages the whole grid in index order (small mode's full
-// coverage; slot == grid index).
+// addAll stages the whole grid in index order (full coverage; slot ==
+// grid index).
 //
 //edgebol:hot
 func (e *acqEngine) addAll() {
@@ -282,9 +262,9 @@ func (e *acqEngine) addMandatory() {
 	a := e.a
 	for k, gi := range a.safeSeedIx {
 		if w, b := gi>>6, uint64(1)<<(gi&63); e.seen[w]&b != 0 {
-			// A duplicate seed: reuse the slot of its first occurrence so
-			// the retirement and fallback loops keep the exhaustive
-			// engine's exact duplicate semantics.
+			// A duplicate seed: reuse the slot of its first occurrence, as
+			// full coverage does, so the retirement and fallback loops keep
+			// the same duplicate semantics.
 			for j := 0; j < k; j++ {
 				if a.safeSeedIx[j] == gi {
 					e.seedSlot[k] = e.seedSlot[j]
@@ -553,33 +533,8 @@ func (e *acqEngine) flood() {
 	e.flush()
 }
 
-// needFeats reports whether some active objective lacks a SweepPlan and
-// therefore sweeps through the generic feature-matrix path.
-func (e *acqEngine) needFeats() bool { return e.a.needsGenericSweep() }
-
-// fillFeatRows materializes the joint feature rows of the pending
-// candidates for the generic PosteriorBatch fallback.
-func (e *acqEngine) fillFeatRows(lo, hi int) {
-	const dims = ContextDims + ControlDims
-	if e.featFlat == nil {
-		e.featFlat = make([]float64, e.maxEval*dims)
-		e.featRows = make([][]float64, e.maxEval)
-		for i := range e.featRows {
-			e.featRows[i] = e.featFlat[i*dims : (i+1)*dims : (i+1)*dims]
-		}
-	}
-	for s := lo; s < hi; s++ {
-		row := e.featRows[s-lo]
-		copy(row[:ContextDims], e.cf)
-		x := e.a.opts.Grid.At(int(e.idx[s]))
-		x.appendFeatures(row[ContextDims:ContextDims])
-	}
-}
-
-// flush evaluates the pending candidates [done, n): one posterior batch
-// per objective (SweepSubset through the factorized plan, PosteriorBatch
-// through the generic path — bitwise interchangeable, exactly like the
-// exhaustive sweep), the decomposed-cost combination, and the safety/LCB
+// flush evaluates the pending candidates [done, n): one SweepSubset batch
+// per objective, the decomposed-cost combination, and the safety/LCB
 // scoring. During the flood, newly scored slots join the priority queue.
 func (e *acqEngine) flush() {
 	lo, hi := e.done, e.n
@@ -588,46 +543,38 @@ func (e *acqEngine) flush() {
 	}
 	a := e.a
 	idxs := e.idx[lo:hi]
-	if e.needFeats() {
-		e.fillFeatRows(lo, hi)
-	}
 	// The per-objective batches are independent — disjoint output slices,
-	// shared read-only inputs — so they run concurrently exactly like the
-	// exhaustive sweep's per-objective goroutines.
+	// shared read-only inputs, and the GP read path holds no mutable state
+	// — so they run concurrently, each internally sharded across workers.
 	var wg sync.WaitGroup
-	sweep := func(g *gp.GP, plan *gp.SweepPlan, mu, sigma []float64) {
-		run := func(w int) {
-			if plan != nil {
-				plan.SweepSubset(e.cf, idxs, mu, sigma, w)
-				return
-			}
-			g.PosteriorBatch(e.featRows[:hi-lo], mu, sigma, gp.BatchOptions{Workers: w})
-		}
+	sweep := func(plan *gp.SweepPlan, mu, sigma []float64) {
 		if e.workers == 1 {
-			run(1)
+			plan.SweepSubset(e.cf, idxs, mu, sigma, 1)
 			return
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run(e.workers)
+			plan.SweepSubset(e.cf, idxs, mu, sigma, e.workers)
 		}()
 	}
 	for i := range a.gps {
 		if i == gpCost && a.opts.DecomposedCost {
 			continue
 		}
-		sweep(a.gps[i], a.plans[i], e.mu[i][lo:hi], e.sigma[i][lo:hi])
+		sweep(a.plans[i], e.mu[i][lo:hi], e.sigma[i][lo:hi])
 	}
 	if a.opts.DecomposedCost {
 		for i := range a.powerGPs {
-			sweep(a.powerGPs[i], a.powPlans[i], e.powMu[i][lo:hi], e.powSigma[i][lo:hi])
+			sweep(a.powPlans[i], e.powMu[i][lo:hi], e.powSigma[i][lo:hi])
 		}
 	}
 	wg.Wait()
 	if a.opts.DecomposedCost {
-		// Same combination as the exhaustive sweep: μ_u = δ₁·p̂_s + δ₂·p̂_b
-		// in raw units, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
+		// Combine the power posteriors into a cost posterior in raw
+		// monetary units (only the ranking matters for the acquisition):
+		// μ_u = δ₁·p̂_s + δ₂·p̂_b and, with the two surfaces modeled as
+		// independent GPs, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
 		w := a.opts.Weights
 		nm := a.opts.Norm
 		for s := lo; s < hi; s++ {
@@ -648,9 +595,14 @@ func (e *acqEngine) flush() {
 	e.done = hi
 }
 
-// scoreRange applies the exhaustive engine's exact safety test and LCB to
-// freshly evaluated slots, assigns their search ranks, and tracks the
-// best safe LCB for the flood's patience counter.
+// scoreRange applies the eq. 8 safety test and the eq. 9 LCB to freshly
+// evaluated slots, assigns their search ranks, and tracks the best safe
+// LCB for the flood's patience counter.
+//
+// The delay test uses the predictive bound (predSigma); the mAP test uses
+// the latent bound: a finite-batch mAP estimate dipping below ρ^min is
+// measurement noise, not a service failure, and the paper's own Fig. 9
+// inset shows observed mAP fluctuating below ρ^min at the optimum.
 //
 //edgebol:hot
 func (e *acqEngine) scoreRange(lo, hi int) {
@@ -685,9 +637,9 @@ func (e *acqEngine) scoreRange(lo, hi int) {
 	}
 }
 
-// finish runs the exhaustive engine's exact selection semantics over the
-// evaluated slots: seed retirement, constrained-LCB argmin with the
-// first-index tie-break, the least-violating-seed fallback, and the
+// finish runs the selection over the evaluated slots: seed retirement,
+// the constrained-LCB argmin with the first-index tie-break (or the
+// SafeOpt rule), the least-violating-seed fallback, and the
 // diagnostics/metrics.
 func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	a := e.a
@@ -697,10 +649,14 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 			nSafe++
 		}
 	}
-	// S_t always contains S₀; a seed is retired from selection — though it
-	// still counts as safe — once the posterior has learned about it and
-	// its mean violates a constraint. Same duplicate semantics as the
-	// exhaustive loop: duplicate seeds share a slot.
+	// S_t always contains S₀ (eq. 8 / Algorithm 1 line 6). A seed is
+	// nevertheless *retired from selection* — though it still counts as
+	// safe — once the posterior has actually learned about it (σ well
+	// below the prior) and its mean violates a constraint: S₀ membership
+	// encodes the operator's prior belief, and repeatedly re-picking a seed
+	// that measurements show to be infeasible would lock the agent onto a
+	// violating configuration whenever that seed is also the cost
+	// minimizer. Duplicate seeds share a slot.
 	for _, s := range e.seedSlot {
 		if e.safe[s] {
 			continue
@@ -710,21 +666,17 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 			e.sigma[gpDelay][s] < seedRetireSigma && e.sigma[gpMAP][s] < seedRetireSigma
 		e.safe[s] = !retired
 	}
-	best := -1
-	bestLCB := math.Inf(1)
-	for s := 0; s < e.n; s++ {
-		if !e.safe[s] {
-			continue
-		}
-		l := e.lcb[s]
-		if l < bestLCB || (l == bestLCB && best >= 0 && e.idx[s] < e.idx[best]) { //edgebol:allow floateq -- tie-break on grid index matches the exhaustive first-index-wins scan
-			bestLCB = l
-			best = s
-		}
+	var best int
+	var bestLCB float64
+	if a.opts.Rule == AcquisitionSafeOpt {
+		best, bestLCB = e.pickSafeOpt()
+	} else {
+		best, bestLCB = e.pickLCB()
 	}
 	if best < 0 {
-		// Every seed retired and nothing certified: fall back to the
-		// least-violating seed by posterior mean.
+		// Every seed retired and nothing certified: the problem looks
+		// infeasible. Fall back to the least-violating seed by posterior
+		// mean — the §5 "Practical Issues" behaviour of staying within S₀.
 		bestScore := math.Inf(1)
 		for _, s := range e.seedSlot {
 			score := math.Max(e.mu[gpDelay][s]-e.dmaxN, 0) + math.Max(e.rminN-e.mu[gpMAP][s], 0)
@@ -735,8 +687,12 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 		}
 		bestLCB = e.mu[gpCost][best] - a.opts.AcqBeta*e.sigma[gpCost][best]
 	}
+	// The winner came from the seed fallback when it fails the learned
+	// safety test on its own merits.
 	fromSeed := e.mu[gpDelay][best]+a.opts.SafeBeta*e.sigma[gpDelay][best] > e.dmaxN ||
 		e.mu[gpMAP][best]-a.opts.SafeBeta*e.sigma[gpMAP][best] < e.rminN
+	// The sweep's sharding decision is driven by the basis size: training
+	// rows for the exact engine, inducing points for the sparse one.
 	basis := a.gps[gpDelay].Len()
 	if a.gps[gpDelay].IsSparse() {
 		basis = a.gps[gpDelay].InducingLen()
@@ -744,7 +700,7 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	info := SelectionInfo{
 		SafeSetSize:         nSafe,
 		FromSeed:            fromSeed,
-		Adaptive:            true,
+		Adaptive:            a.adaptive,
 		CandidatesEvaluated: e.n,
 		RefineRounds:        e.refineRounds,
 		LCB:                 bestLCB,
@@ -768,4 +724,66 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	}
 	a.lastInfo = info
 	return a.opts.Grid.At(int(e.idx[best])), info
+}
+
+// pickLCB returns the safe slot minimizing the constrained LCB of eq. 9,
+// ties broken by ascending grid index, or -1 when no slot is safe.
+func (e *acqEngine) pickLCB() (int, float64) {
+	best := -1
+	bestLCB := math.Inf(1)
+	for s := 0; s < e.n; s++ {
+		if !e.safe[s] {
+			continue
+		}
+		l := e.lcb[s]
+		if l < bestLCB || (l == bestLCB && best >= 0 && e.idx[s] < e.idx[best]) { //edgebol:allow floateq -- tie-break on grid index: the first grid index wins
+			bestLCB = l
+			best = s
+		}
+	}
+	return best, bestLCB
+}
+
+// pickSafeOpt implements the SafeOpt-style acquisition over the current
+// safe set: among the potential minimizers (points whose cost LCB beats
+// the best cost UCB) and the expanders (safe points whose confidence
+// interval straddles a constraint boundary neighbourhood), sample the one
+// with the largest overall uncertainty, first slot winning ties. SafeOpt
+// runs only under full coverage (NewAgent never pairs it with the
+// budgeted mode), so slot order is grid order.
+func (e *acqEngine) pickSafeOpt() (int, float64) {
+	o := e.a.opts
+	bestUCB := math.Inf(1)
+	for s := 0; s < e.n; s++ {
+		if !e.safe[s] {
+			continue
+		}
+		if ucb := e.mu[gpCost][s] + o.AcqBeta*e.sigma[gpCost][s]; ucb < bestUCB {
+			bestUCB = ucb
+		}
+	}
+	// Expander neighbourhood: within this many σ-units of a boundary.
+	const edge = 0.5
+	best := -1
+	bestUnc := -1.0
+	for s := 0; s < e.n; s++ {
+		if !e.safe[s] {
+			continue
+		}
+		minimizer := e.lcb[s] <= bestUCB
+		expander := e.mu[gpDelay][s]+o.SafeBeta*e.sigma[gpDelay][s] >= e.dmaxN-edge ||
+			e.mu[gpMAP][s]-o.SafeBeta*e.sigma[gpMAP][s] <= e.rminN+edge
+		if !minimizer && !expander {
+			continue
+		}
+		unc := math.Max(e.sigma[gpCost][s], math.Max(e.sigma[gpDelay][s], e.sigma[gpMAP][s]))
+		if unc > bestUnc {
+			bestUnc = unc
+			best = s
+		}
+	}
+	if best < 0 {
+		return best, 0
+	}
+	return best, e.lcb[best]
 }

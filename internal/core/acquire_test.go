@@ -156,7 +156,6 @@ func TestAcqEquivSmallGrids(t *testing.T) {
 			o.Engine = EngineSparse
 			o.InducingPoints = 16
 		}},
-		{"generic sweep", func(o *Options) { o.KernelFactory = wrappedFactory }},
 		{"paper grid", func(o *Options) { o.Grid.Levels = 11 }},
 	}
 	for _, tc := range cases {
@@ -294,9 +293,10 @@ func TestAcqAdaptiveLargeGridRegret(t *testing.T) {
 		}
 		if !infoE.FromSeed && !infoA.FromSeed {
 			// Score the adaptive pick under the oracle's posterior buffers
-			// (identical GP state): regret is its LCB gap to the optimum.
+			// (identical GP state; full coverage, so slot == grid index):
+			// regret is its LCB gap to the optimum.
 			gi := opts.Grid.Index(xA)
-			lcbA := aE.mu[gpCost][gi] - aE.opts.AcqBeta*aE.sigma[gpCost][gi]
+			lcbA := aE.acq.mu[gpCost][gi] - aE.opts.AcqBeta*aE.acq.sigma[gpCost][gi]
 			regret := lcbA - infoE.LCB
 			if regret < -1e-9 {
 				t.Fatalf("period %d: adaptive LCB %v below exhaustive optimum %v", i, lcbA, infoE.LCB)

@@ -17,18 +17,13 @@ import (
 // never trips it: that state is restored, not compared.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match agent configuration")
 
-// Checkpoint section tags (see internal/checkpoint for the container
-// format and the critical/ancillary convention).
-const (
-	// secMeta holds the period counter, mode flags, grid spec, weights,
-	// constraints, betas, normalization, safe seed, and the objective
-	// inventory. Critical.
-	secMeta = "META"
-	// secSafe holds the last computed safe-set bitmask. Ancillary: the
-	// safe set is recomputed from posteriors every period, so a reader
-	// may skip it and lose nothing but a diagnostic.
-	secSafe = "safe"
-)
+// secMeta tags the section holding the period counter, mode flags, grid
+// spec, weights, constraints, betas, normalization, safe seed, and the
+// objective inventory. Critical (see internal/checkpoint for the container
+// format and the critical/ancillary convention). Older writers also
+// emitted an ancillary "safe" section (a safe-set mask); the reader skips
+// it like any unknown ancillary tag.
+const secMeta = "META"
 
 // gpTags and powTags name the per-objective GP state sections, indexed
 // like Agent.gps and Agent.powerGPs.
@@ -365,59 +360,18 @@ func decodeGPState(data []byte, version uint16) (gp.State, error) {
 	return s, nil
 }
 
-// encodeSafe packs the safe-set booleans into a bitmask, LSB-first.
-func encodeSafe(safe []bool) []byte {
-	var e checkpoint.Encoder
-	e.U64(uint64(len(safe)))
-	var cur uint8
-	for i, ok := range safe {
-		if ok {
-			cur |= 1 << (uint(i) % 8)
-		}
-		if i%8 == 7 {
-			e.U8(cur)
-			cur = 0
-		}
-	}
-	if len(safe)%8 != 0 {
-		e.U8(cur)
-	}
-	return e.Bytes()
-}
-
-func decodeSafe(data []byte, want int) ([]bool, error) {
-	d := checkpoint.NewDecoder(data)
-	n := d.U64()
-	if d.Err() == nil && n != uint64(want) {
-		return nil, fmt.Errorf("%w: safe set of %d entries, grid has %d", checkpoint.ErrMalformed, n, want)
-	}
-	out := make([]bool, want)
-	var cur uint8
-	for i := range out {
-		if i%8 == 0 {
-			cur = d.U8()
-		}
-		out[i] = cur&(1<<(uint(i)%8)) != 0
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SaveCheckpoint serializes the agent's full learned state — period
-// counter, runtime-mutable weights and constraints, every GP's training
-// rows, targets, and Cholesky factor, and the safe-set diagnostic — as a
-// versioned checkpoint stream. A checkpoint loaded back through
-// LoadCheckpoint with the same Options continues bitwise identically to
-// the uninterrupted agent (the restore-equivalence guarantee; see
-// DESIGN.md §11).
+// counter, runtime-mutable weights and constraints, and every GP's
+// training rows, targets, and Cholesky factor — as a versioned checkpoint
+// stream. A checkpoint loaded back through LoadCheckpoint with the same
+// Options continues bitwise identically to the uninterrupted agent (the
+// restore-equivalence guarantee; see DESIGN.md §11).
 //
 // SaveCheckpoint must not run concurrently with SelectControl or Observe
 // (the Agent is not safe for concurrent use).
 func (a *Agent) SaveCheckpoint(w io.Writer) error {
 	start := time.Now()
-	sections := make([]checkpoint.Section, 0, 2+numGPs+len(a.powerGPs))
+	sections := make([]checkpoint.Section, 0, 1+numGPs+len(a.powerGPs))
 	sections = append(sections, checkpoint.Section{Tag: secMeta, Data: a.encodeMeta()})
 	for i, g := range a.gps {
 		sections = append(sections, checkpoint.Section{Tag: gpTags[i], Data: encodeGPState(g.Snapshot())})
@@ -426,12 +380,6 @@ func (a *Agent) SaveCheckpoint(w io.Writer) error {
 		for i, g := range a.powerGPs {
 			sections = append(sections, checkpoint.Section{Tag: powTags[i], Data: encodeGPState(g.Snapshot())})
 		}
-	}
-	// Adaptive agents hold no full-grid safe-set mask (the per-candidate
-	// pools are rebuilt from scratch each period), so the ancillary safe
-	// section is written by exhaustive agents only.
-	if !a.adaptive {
-		sections = append(sections, checkpoint.Section{Tag: secSafe, Data: encodeSafe(a.safe)})
 	}
 	cw := &countingWriter{w: w}
 	if err := checkpoint.Encode(cw, sections); err != nil {
@@ -609,14 +557,6 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 			if err := g.RestoreFrom(st); err != nil {
 				return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointMismatch, powerObjectiveNames[i], err)
 			}
-		}
-	}
-	// The safe-set section is ancillary: restore it when intact, recompute
-	// otherwise — SelectControl rebuilds it from posteriors every period.
-	// Adaptive agents keep no full-grid mask and skip it entirely.
-	if sec := arch.Find(secSafe); sec != nil && !a.adaptive {
-		if safe, err := decodeSafe(sec.Data, len(a.grid)); err == nil {
-			copy(a.safe, safe)
 		}
 	}
 	a.met.ckptRestores.Inc()

@@ -72,9 +72,8 @@ func assertSameSteps(t *testing.T, got, want []stepResult) {
 	}
 }
 
-// wrappedKernel hides a package kernel behind a foreign type, forcing the
-// agent off the SweepPlan fast path onto the generic batched sweep and
-// exercising the %T kernel-name path of the snapshot format.
+// wrappedKernel hides a package kernel behind a foreign type that
+// gp.NewSweepPlan cannot factorize, so NewAgent must reject it.
 type wrappedKernel struct{ gp.Kernel }
 
 func wrappedFactory(ls []float64) gp.Kernel {
@@ -94,8 +93,7 @@ func testOptions() Options {
 // into a fresh agent, and run the remaining T/2. The restored agent's
 // every selection and posterior must be bitwise identical to the
 // uninterrupted run — across worker counts, with sliding-window
-// evictions, with decomposed power GPs, and on the generic (plan-less)
-// sweep path.
+// evictions, with decomposed power GPs, and on both GP engines.
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	const T = 26
 	cases := []struct {
@@ -111,7 +109,6 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			o.DecomposedCost = true
 			o.MaxObservations = 8
 		}},
-		{"generic sweep", func(o *Options) { o.KernelFactory = wrappedFactory }},
 		{"safeopt", func(o *Options) { o.Rule = AcquisitionSafeOpt }},
 		{"sparse", func(o *Options) {
 			o.Engine = EngineSparse
@@ -401,7 +398,22 @@ func TestLoadCheckpointRejectsUnknownCriticalSection(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader(withExtra("ZZZZ")), opts); err == nil {
 		t.Fatal("unknown critical section accepted")
 	}
-	if _, err := LoadCheckpoint(bytes.NewReader(withExtra("zzzz")), opts); err != nil {
-		t.Fatalf("unknown ancillary section rejected: %v", err)
+	// "safe" is the ancillary safe-set section that older writers emitted;
+	// their checkpoints must still load.
+	for _, tag := range []string{"zzzz", "safe"} {
+		if _, err := LoadCheckpoint(bytes.NewReader(withExtra(tag)), opts); err != nil {
+			t.Fatalf("unknown ancillary section %q rejected: %v", tag, err)
+		}
+	}
+}
+
+// TestNewAgentRejectsUnsupportedKernel: a kernel the sweep plan cannot
+// factorize has no selection path, so construction fails with
+// gp.ErrUnsupportedKernel.
+func TestNewAgentRejectsUnsupportedKernel(t *testing.T) {
+	opts := testOptions()
+	opts.KernelFactory = wrappedFactory
+	if _, err := NewAgent(opts); !errors.Is(err, gp.ErrUnsupportedKernel) {
+		t.Fatalf("err = %v, want gp.ErrUnsupportedKernel", err)
 	}
 }

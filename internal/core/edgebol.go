@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/gp"
@@ -161,14 +160,16 @@ type Options struct {
 	// uncertainty-in-maximizers-and-expanders rule the paper compared
 	// against and found "overly slow" (§5, citing Berkenkamp et al.).
 	Rule AcquisitionRule
-	// Acquisition selects the acquisition engine: AcqAuto (default) runs
-	// the exhaustive sweep on grids where it is affordable and the
-	// adaptive coarse-to-fine engine past acqAutoThreshold candidates;
-	// AcqExhaustive and AcqAdaptive force one engine. On small grids the
-	// adaptive engine returns the exhaustive argmax exactly (the acq-equiv
-	// gate); on larger grids it holds a bounded optimum regret while
-	// evaluating a few percent of the candidates. Fixed configuration: a
-	// checkpoint restores only under the mode it was saved with.
+	// Acquisition selects the acquisition mode: AcqAuto (default) covers
+	// the whole grid where that is affordable and switches to the
+	// adaptive coarse-to-fine search past acqAutoThreshold candidates;
+	// AcqExhaustive and AcqAdaptive force one mode. Both are modes of one
+	// engine with one set of selection formulas: on small grids the
+	// adaptive mode covers the whole grid too, so the two agree exactly
+	// (the acq-equiv gate); on larger grids the adaptive mode holds a
+	// bounded optimum regret while evaluating a few percent of the
+	// candidates. Fixed configuration: a checkpoint restores only under
+	// the mode it was saved with.
 	Acquisition AcquisitionMode
 	// DecomposedCost learns the two power surfaces p_s and p_b with
 	// separate GPs instead of the scalar cost u. The acquisition combines
@@ -366,13 +367,13 @@ const (
 	// AcqAuto (the zero value) sweeps exhaustively on grids up to
 	// acqAutoThreshold candidates — where the SweepPlan is fast and the
 	// full posterior arrays are cheap — and switches to the adaptive
-	// engine beyond, where the exhaustive sweep stops scaling.
+	// mode beyond, where the exhaustive sweep stops scaling.
 	AcqAuto AcquisitionMode = iota
-	// AcqExhaustive forces the full-grid sweep: every candidate's
-	// posterior is computed every period. The correctness oracle the
-	// adaptive engine is tested against.
+	// AcqExhaustive forces full coverage: every candidate's posterior is
+	// computed every period, at any grid size. The reference the budgeted
+	// adaptive mode's regret is measured against on large grids.
 	AcqExhaustive
-	// AcqAdaptive forces the coarse-to-fine engine: a strided sub-lattice
+	// AcqAdaptive forces the coarse-to-fine mode: a strided sub-lattice
 	// sweep refined around the incumbents plus best-first local search
 	// seeded from the safe set, evaluating a few percent of the grid.
 	AcqAdaptive
@@ -410,15 +411,11 @@ const (
 // concurrent use.
 type Agent struct {
 	opts Options
-	// grid is the materialized control space. Exhaustive agents build it
-	// at construction; adaptive agents leave it nil — a multi-million-point
-	// grid is exactly what the adaptive engine avoids materializing — and
-	// Grid() enumerates lazily for diagnostics and baselines that ask.
-	grid []Control
-	// adaptive is the resolved acquisition engine: Options.Acquisition
+	// adaptive is the resolved acquisition mode: Options.Acquisition
 	// after AcqAuto has been decided against the grid size.
 	adaptive bool
-	// acq is the pooled adaptive-engine state (nil on exhaustive agents).
+	// acq is the pooled acquisition-engine state: full coverage on
+	// exhaustive agents, budgeted waves on adaptive ones (see acquire.go).
 	acq *acqEngine
 
 	gps [numGPs]*gp.GP
@@ -427,23 +424,10 @@ type Agent struct {
 
 	// plans are the per-objective grid sweep engines: distance tables over
 	// the grid levels that turn each period's cross-covariance into table
-	// lookups plus a per-training-point context scalar. A nil entry (the
-	// kernel factory produced a non-package kernel) falls back to the
-	// generic PosteriorBatch path; either way results are bitwise
-	// identical.
+	// lookups plus a per-training-point context scalar.
 	plans    [numGPs]*gp.SweepPlan
 	powPlans [2]*gp.SweepPlan
 
-	// feats is the grid's joint feature matrix, one row per grid point,
-	// backed by a single flat allocation. The control portion of every row
-	// (slots [ContextDims:]) is filled once at construction — the grid never
-	// changes — and SelectControl refreshes only the context slots, and
-	// only when some objective actually sweeps through the generic path.
-	feats      [][]float64
-	mu, sigma  [numGPs][]float64
-	powMu      [2][]float64
-	powSigma   [2][]float64
-	safe       []bool
 	safeSeedIx []int // indices of seed controls within the grid
 	t          int
 
@@ -493,7 +477,8 @@ type SelectionInfo struct {
 	// FromSeed is true when no learned control passed the safety test and
 	// the acquisition fell back to the seed set S₀.
 	FromSeed bool
-	// Adaptive reports which acquisition engine produced this selection.
+	// Adaptive reports the agent's resolved acquisition mode: true under
+	// AcqAdaptive, and under AcqAuto above acqAutoThreshold.
 	Adaptive bool
 	// CandidatesEvaluated is the number of grid points whose posterior
 	// was computed this period — the grid size for the exhaustive sweep,
@@ -516,27 +501,19 @@ type SelectionInfo struct {
 	SweepSeconds float64
 }
 
-// NewAgent builds an EdgeBOL agent.
+// NewAgent builds an EdgeBOL agent. A kernel factory whose kernels
+// gp.NewSweepPlan cannot factorize is rejected with an error wrapping
+// gp.ErrUnsupportedKernel.
 func NewAgent(opts Options) (*Agent, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	gridSize := opts.Grid.Size()
 	a := &Agent{opts: opts}
 	switch opts.Acquisition {
 	case AcqAdaptive:
 		a.adaptive = true
 	case AcqAuto:
-		a.adaptive = gridSize > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt
-	}
-	if !a.adaptive {
-		grid, err := opts.Grid.Enumerate()
-		if err != nil {
-			return nil, err
-		}
-		a.grid = grid
-	} else if err := opts.Grid.Validate(); err != nil {
-		return nil, err
+		a.adaptive = opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt
 	}
 	newGP := func(ls []float64, noiseVar float64) (*gp.GP, error) {
 		if opts.Engine == EngineSparse {
@@ -555,10 +532,6 @@ func NewAgent(opts Options) (*Agent, error) {
 		}
 		a.gps[i] = g
 		a.gps[i].Instrument(opts.Telemetry, objectiveNames[i])
-		if !a.adaptive {
-			a.mu[i] = make([]float64, gridSize)
-			a.sigma[i] = make([]float64, gridSize)
-		}
 	}
 	if opts.DecomposedCost {
 		ls := opts.LengthScales
@@ -572,15 +545,8 @@ func NewAgent(opts Options) (*Agent, error) {
 			}
 			a.powerGPs[i] = g
 			a.powerGPs[i].Instrument(opts.Telemetry, powerObjectiveNames[i])
-			if !a.adaptive {
-				a.powMu[i] = make([]float64, gridSize)
-				a.powSigma[i] = make([]float64, gridSize)
-			}
 		}
 	}
-	// One sweep plan per objective, built from the grid's level values;
-	// a constructor error (e.g. a custom kernel the plan cannot factorize)
-	// leaves the entry nil and that objective on the generic path.
 	if err := a.buildPlans(); err != nil {
 		return nil, err
 	}
@@ -608,17 +574,6 @@ func NewAgent(opts Options) (*Agent, error) {
 		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
 			telemetry.LatencyBuckets(), "mode", a.acqMode().String()),
 	}
-	if !a.adaptive {
-		const dims = ContextDims + ControlDims
-		a.feats = make([][]float64, len(a.grid))
-		flat := make([]float64, len(a.grid)*dims)
-		for i, x := range a.grid {
-			row := flat[i*dims : (i+1)*dims : (i+1)*dims]
-			x.appendFeatures(row[ContextDims:ContextDims])
-			a.feats[i] = row
-		}
-		a.safe = make([]bool, len(a.grid))
-	}
 	// Locate seed controls on the grid (snapped if off-grid) by direct
 	// index arithmetic.
 	for _, s := range opts.SafeSeed {
@@ -627,9 +582,7 @@ func NewAgent(opts Options) (*Agent, error) {
 	if len(a.safeSeedIx) == 0 {
 		return nil, fmt.Errorf("core: no safe seed maps onto the grid")
 	}
-	if a.adaptive {
-		a.acq = newAcqEngine(a)
-	}
+	a.acq = newAcqEngine(a)
 	return a, nil
 }
 
@@ -648,29 +601,32 @@ func (a *Agent) sparseConfig() gp.SparseConfig {
 }
 
 // buildPlans (re)builds the per-objective grid sweep plans from the
-// grid's level values against each GP's current basis. A plan constructor
-// error (e.g. a custom kernel the plan cannot factorize) leaves that entry
-// nil and the objective on the generic PosteriorBatch path; either way
-// results are bitwise identical.
+// grid's level values against each GP's current basis. A kernel the plan
+// cannot factorize fails the build with an error wrapping
+// gp.ErrUnsupportedKernel.
 func (a *Agent) buildPlans() error {
 	levelVals, err := a.opts.Grid.LevelValues()
 	if err != nil {
 		return err
 	}
-	build := func(g *gp.GP, objective string) *gp.SweepPlan {
+	build := func(g *gp.GP, objective string) (*gp.SweepPlan, error) {
 		plan, err := gp.NewSweepPlan(g, ContextDims, levelVals)
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("core: %s GP: %w", objective, err)
 		}
 		plan.Instrument(a.opts.Telemetry, objective)
-		return plan
+		return plan, nil
 	}
 	for i := range a.gps {
-		a.plans[i] = build(a.gps[i], objectiveNames[i])
+		if a.plans[i], err = build(a.gps[i], objectiveNames[i]); err != nil {
+			return err
+		}
 	}
 	if a.opts.DecomposedCost {
 		for i := range a.powerGPs {
-			a.powPlans[i] = build(a.powerGPs[i], powerObjectiveNames[i])
+			if a.powPlans[i], err = build(a.powerGPs[i], powerObjectiveNames[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -716,42 +672,6 @@ func (a *Agent) InducingPoints() int {
 		return 0
 	}
 	return a.gps[gpDelay].InducingLen()
-}
-
-// needsGenericSweep reports whether any objective active this period lacks
-// a grid sweep plan and therefore reads the shared feature matrix.
-func (a *Agent) needsGenericSweep() bool {
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		if a.plans[i] == nil {
-			return true
-		}
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			if a.powPlans[i] == nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Grid returns the enumerated control space. Adaptive agents do not
-// materialize the grid for acquisition; the first Grid call enumerates it
-// lazily for diagnostics and baselines that iterate the space explicitly.
-func (a *Agent) Grid() []Control {
-	if a.grid == nil {
-		grid, err := a.opts.Grid.Enumerate()
-		if err != nil {
-			// The spec was validated at construction; unreachable.
-			panic(err)
-		}
-		a.grid = grid
-	}
-	return a.grid
 }
 
 // Constraints returns the active constraints.
@@ -813,9 +733,7 @@ func (a *Agent) SetWeights(w CostWeights) error {
 // mask is cleared so no stale "safe under the old thresholds" bit can be
 // observed between the reconfiguration and that next sweep.
 func (a *Agent) invalidateDerived() {
-	for i := range a.safe {
-		a.safe[i] = false
-	}
+	clear(a.acq.safe)
 	a.lastInfo = SelectionInfo{}
 }
 
@@ -823,234 +741,25 @@ func (a *Agent) invalidateDerived() {
 func (a *Agent) Observations() int { return a.t }
 
 // SelectControl runs lines 4–7 of Algorithm 1 for the given context:
-// compute the three posteriors over the whole grid, build the safe set
-// (eq. 8, always including S₀), and minimize the constrained LCB (eq. 9).
-//
-//edgebol:hot
+// compute the three posteriors over the grid, build the safe set (eq. 8,
+// always including S₀), and minimize the constrained LCB (eq. 9).
+// Exhaustive agents evaluate every grid point; adaptive agents a budgeted
+// subset (see acquire.go).
 func (a *Agent) SelectControl(ctx Context) (Control, SelectionInfo) {
-	if a.adaptive {
-		return a.selectAdaptive(ctx)
-	}
 	start := time.Now()
-	var cbuf [ContextDims]float64
-	cf := ctx.appendFeatures(cbuf[:0])
-	// The control portion of every feature row was precomputed at
-	// construction; only the context slots change between periods — and
-	// objectives swept through a grid plan never read the feature matrix
-	// at all, so the refresh runs only when some objective lacks a plan.
-	if a.needsGenericSweep() {
-		for _, row := range a.feats {
-			copy(row[:ContextDims], cf)
-		}
+	e := a.acq
+	e.reset(ctx)
+	if e.full {
+		e.addAll()
+		e.flush()
+	} else {
+		e.addMandatory()
+		e.addCoarseLattice()
+		e.flush()
+		e.refine()
+		e.flood()
 	}
-	// The per-objective posterior sweeps are independent — each reads the
-	// shared feature matrix (or its own plan's distance tables) and writes
-	// only its own mu/sigma buffers, and the GP read path holds no mutable
-	// state — so they run concurrently, each internally sharded across
-	// workers. Plan and generic paths are bitwise interchangeable.
-	workers := a.opts.InferenceWorkers
-	var wg sync.WaitGroup
-	sweep := func(g *gp.GP, plan *gp.SweepPlan, mu, sigma []float64) {
-		run := func(w int) {
-			if plan != nil {
-				plan.Sweep(cf, mu, sigma, w)
-				return
-			}
-			g.PosteriorBatch(a.feats, mu, sigma, gp.BatchOptions{Workers: w})
-		}
-		if workers == 1 {
-			run(1)
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(workers)
-		}()
-	}
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		sweep(a.gps[i], a.plans[i], a.mu[i], a.sigma[i])
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			sweep(a.powerGPs[i], a.powPlans[i], a.powMu[i], a.powSigma[i])
-		}
-	}
-	wg.Wait()
-	if a.opts.DecomposedCost {
-		// Combine the power posteriors into a cost posterior in raw
-		// monetary units (only the ranking matters for the acquisition):
-		// μ_u = δ₁·p̂_s + δ₂·p̂_b and, with the two surfaces modeled as
-		// independent GPs, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
-		w := a.opts.Weights
-		n := a.opts.Norm
-		for i := range a.grid {
-			ps := a.powMu[0][i]*n.ServerPower.Scale + n.ServerPower.Center
-			pb := a.powMu[1][i]*n.BSPower.Scale + n.BSPower.Center
-			a.mu[gpCost][i] = w.Delta1*ps + w.Delta2*pb
-			ss := w.Delta1 * n.ServerPower.Scale * a.powSigma[0][i]
-			sb := w.Delta2 * n.BSPower.Scale * a.powSigma[1][i]
-			a.sigma[gpCost][i] = math.Sqrt(ss*ss + sb*sb)
-		}
-	}
-
-	cons := a.opts.Constraints
-	dmax := a.opts.Norm.Delay.Norm(cons.MaxDelay)
-	rmin := a.opts.Norm.MAP.Norm(cons.MinMAP)
-	meanViolates := func(i int) bool {
-		return a.mu[gpDelay][i] > dmax || a.mu[gpMAP][i] < rmin
-	}
-	// The delay constraint of eq. 2 bounds the *noisy per-period
-	// observations* d_t, so its safety test uses the predictive bound
-	// β·√(σ² + ζ²) — with the latent bound alone the agent legally rides
-	// the boundary and observation noise produces violations far beyond
-	// the paper's ≈2 %. The mAP constraint instead uses the latent bound:
-	// a finite-batch mAP estimate dipping below ρ^min is measurement
-	// noise, not a service failure, and the paper's own Fig. 9 inset shows
-	// observed mAP fluctuating below ρ^min at the optimum.
-	zetaD := math.Sqrt(a.gps[gpDelay].NoiseVar())
-	nSafe := 0
-	for i := range a.grid {
-		ok := a.opts.DisableSafeSet
-		if !ok {
-			informed := a.sigma[gpDelay][i] < informedSigma && a.sigma[gpMAP][i] < informedSigma
-			ok = informed &&
-				a.mu[gpDelay][i]+a.opts.SafeBeta*predSigma(a.sigma[gpDelay][i], zetaD) <= dmax &&
-				a.mu[gpMAP][i]-a.opts.SafeBeta*a.sigma[gpMAP][i] >= rmin
-		}
-		a.safe[i] = ok
-		if ok {
-			nSafe++
-		}
-	}
-	// S_t always contains S₀ (eq. 8 / Algorithm 1 line 6). A seed is
-	// nevertheless *retired from selection* — though it still counts as
-	// safe — once the posterior has actually learned about it
-	// (σ well below the prior) and its mean violates a constraint:
-	// S₀ membership encodes the operator's prior belief, and repeatedly
-	// re-picking a seed that measurements show to be infeasible would lock
-	// the agent onto a violating configuration whenever that seed is also
-	// the cost minimizer.
-	for _, gi := range a.safeSeedIx {
-		if a.safe[gi] {
-			continue
-		}
-		nSafe++
-		retired := meanViolates(gi) &&
-			a.sigma[gpDelay][gi] < seedRetireSigma && a.sigma[gpMAP][gi] < seedRetireSigma
-		a.safe[gi] = !retired
-	}
-
-	pick := func() (int, float64) {
-		if a.opts.Rule == AcquisitionSafeOpt {
-			return a.pickSafeOpt(dmax, rmin)
-		}
-		best := -1
-		bestLCB := math.Inf(1)
-		for i := range a.grid {
-			if !a.safe[i] {
-				continue
-			}
-			lcb := a.mu[gpCost][i] - a.opts.AcqBeta*a.sigma[gpCost][i]
-			if lcb < bestLCB {
-				bestLCB = lcb
-				best = i
-			}
-		}
-		return best, bestLCB
-	}
-	best, bestLCB := pick()
-	if best < 0 {
-		// Every seed retired and nothing certified: the problem looks
-		// infeasible. Fall back to the least-violating seed by posterior
-		// mean — the §5 "Practical Issues" behaviour of staying within S₀.
-		bestScore := math.Inf(1)
-		for _, gi := range a.safeSeedIx {
-			score := math.Max(a.mu[gpDelay][gi]-dmax, 0) + math.Max(rmin-a.mu[gpMAP][gi], 0)
-			if score < bestScore {
-				bestScore = score
-				best = gi
-			}
-		}
-		bestLCB = a.mu[gpCost][best] - a.opts.AcqBeta*a.sigma[gpCost][best]
-	}
-
-	// The winner came from the seed fallback when it fails the learned
-	// safety test on its own merits.
-	fromSeed := a.mu[gpDelay][best]+a.opts.SafeBeta*a.sigma[gpDelay][best] > dmax ||
-		a.mu[gpMAP][best]-a.opts.SafeBeta*a.sigma[gpMAP][best] < rmin
-
-	// The sweep's sharding decision is driven by the basis size: training
-	// rows for the exact engine, inducing points for the sparse one.
-	basis := a.gps[gpDelay].Len()
-	if a.gps[gpDelay].IsSparse() {
-		basis = a.gps[gpDelay].InducingLen()
-	}
-	resolvedWorkers := gp.ResolveWorkers(basis, len(a.grid), workers)
-	info := SelectionInfo{
-		SafeSetSize:         nSafe,
-		FromSeed:            fromSeed,
-		CandidatesEvaluated: len(a.grid),
-		LCB:                 bestLCB,
-		Cost:                Posterior{Mean: a.mu[gpCost][best], Sigma: a.sigma[gpCost][best]},
-		Delay:               Posterior{Mean: a.mu[gpDelay][best], Sigma: a.sigma[gpDelay][best]},
-		MAP:                 Posterior{Mean: a.mu[gpMAP][best], Sigma: a.sigma[gpMAP][best]},
-		Workers:             resolvedWorkers,
-		SweepSeconds:        time.Since(start).Seconds(),
-	}
-	a.met.safeSize.Set(float64(nSafe))
-	a.met.lcb.Set(bestLCB)
-	a.met.sweep.Observe(info.SweepSeconds)
-	a.met.acqCandidates.Add(uint64(len(a.grid)))
-	a.met.acqLatency.Observe(info.SweepSeconds)
-	if fromSeed {
-		a.met.seedFallback.Inc()
-	}
-	a.lastInfo = info
-	return a.grid[best], info
-}
-
-// pickSafeOpt implements the SafeOpt-style acquisition over the current
-// safe set: among the potential minimizers (points whose cost LCB beats
-// the best cost UCB) and the expanders (safe points whose confidence
-// interval straddles a constraint boundary neighbourhood), sample the one
-// with the largest overall uncertainty.
-func (a *Agent) pickSafeOpt(dmax, rmin float64) (int, float64) {
-	bestUCB := math.Inf(1)
-	for i := range a.grid {
-		if !a.safe[i] {
-			continue
-		}
-		if ucb := a.mu[gpCost][i] + a.opts.AcqBeta*a.sigma[gpCost][i]; ucb < bestUCB {
-			bestUCB = ucb
-		}
-	}
-	// Expander neighbourhood: within this many σ-units of a boundary.
-	const edge = 0.5
-	best := -1
-	bestUnc := -1.0
-	var bestLCB float64
-	for i := range a.grid {
-		if !a.safe[i] {
-			continue
-		}
-		minimizer := a.mu[gpCost][i]-a.opts.AcqBeta*a.sigma[gpCost][i] <= bestUCB
-		expander := a.mu[gpDelay][i]+a.opts.SafeBeta*a.sigma[gpDelay][i] >= dmax-edge ||
-			a.mu[gpMAP][i]-a.opts.SafeBeta*a.sigma[gpMAP][i] <= rmin+edge
-		if !minimizer && !expander {
-			continue
-		}
-		unc := math.Max(a.sigma[gpCost][i], math.Max(a.sigma[gpDelay][i], a.sigma[gpMAP][i]))
-		if unc > bestUnc {
-			bestUnc = unc
-			best = i
-			bestLCB = a.mu[gpCost][i] - a.opts.AcqBeta*a.sigma[gpCost][i]
-		}
-	}
-	return best, bestLCB
+	return e.finish(start)
 }
 
 // Posterior is the agent's belief about one objective at a point.
@@ -1072,10 +781,20 @@ func (a *Agent) PosteriorAt(ctx Context, x Control) (cost, delay, mAP Posterior)
 
 // Observe runs lines 8–13 of Algorithm 1: it computes the cost from the
 // observed KPIs and appends the (context, control) → {u, d, ρ} samples to
-// the three GPs.
+// the three GPs. It is all-or-nothing on bad input: an invalid control or
+// a non-finite context feature or normalized target is rejected before
+// any GP changes.
 func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 	if err := x.Validate(); err != nil {
 		return err
+	}
+	z := Features(ctx, x)
+	n := a.opts.Norm
+	cost := n.Cost.Norm(a.opts.Weights.Cost(k))
+	ps, pb := n.ServerPower.Norm(k.ServerPower), n.BSPower.Norm(k.BSPower)
+	delay, mAP := n.Delay.Norm(k.Delay), n.MAP.Norm(k.MAP)
+	if err := checkFinite(z, cost, ps, pb, delay, mAP); err != nil {
+		return fmt.Errorf("core: observation has %w", err)
 	}
 	// EngineAuto: convert to the sparse engine once the period counter
 	// crosses the threshold. The condition is stateless — it reads only
@@ -1087,27 +806,43 @@ func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 			return err
 		}
 	}
-	z := Features(ctx, x)
 	if a.opts.DecomposedCost {
-		if err := a.powerGPs[0].Add(z, a.opts.Norm.ServerPower.Norm(k.ServerPower)); err != nil {
+		if err := a.powerGPs[0].Add(z, ps); err != nil {
 			return fmt.Errorf("core: server power GP: %w", err)
 		}
-		if err := a.powerGPs[1].Add(z, a.opts.Norm.BSPower.Norm(k.BSPower)); err != nil {
+		if err := a.powerGPs[1].Add(z, pb); err != nil {
 			return fmt.Errorf("core: BS power GP: %w", err)
 		}
-	} else if err := a.gps[gpCost].Add(z, a.opts.Norm.Cost.Norm(a.opts.Weights.Cost(k))); err != nil {
+	} else if err := a.gps[gpCost].Add(z, cost); err != nil {
 		return fmt.Errorf("core: cost GP: %w", err)
 	}
-	if err := a.gps[gpDelay].Add(z, a.opts.Norm.Delay.Norm(k.Delay)); err != nil {
+	if err := a.gps[gpDelay].Add(z, delay); err != nil {
 		return fmt.Errorf("core: delay GP: %w", err)
 	}
-	if err := a.gps[gpMAP].Add(z, a.opts.Norm.MAP.Norm(k.MAP)); err != nil {
+	if err := a.gps[gpMAP].Add(z, mAP); err != nil {
 		return fmt.Errorf("core: mAP GP: %w", err)
 	}
 	a.t++
 	a.met.periods.Inc()
 	a.met.trainSize.Set(float64(a.gps[gpDelay].Len()))
 	a.emitPeriod(ctx, x, k)
+	return nil
+}
+
+// checkFinite rejects a training sample — a feature row and its GP
+// targets — holding a NaN or infinite value. Observe and SeedHistory run
+// it before their first GP append, so a rejected sample changes nothing.
+func checkFinite(features []float64, targets ...float64) error {
+	for _, v := range features {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite feature %v", v)
+		}
+	}
+	for _, v := range targets {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("non-finite target %v", v)
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -203,6 +204,72 @@ func TestObserveRejectsInvalidControl(t *testing.T) {
 	a := newTestAgent(t, Constraints{MaxDelay: 1, MinMAP: 0.2})
 	if err := a.Observe(Context{NumUsers: 1, MeanCQI: 15}, Control{}, KPIs{}); err == nil {
 		t.Fatal("expected error for invalid control")
+	}
+}
+
+// TestObserveIsAllOrNothing: an Observe rejected for a non-finite KPI or
+// context changes nothing — the checkpoint bytes before and after are
+// identical — on both GP engines, and the agent then learns the valid
+// sample as usual.
+func TestObserveIsAllOrNothing(t *testing.T) {
+	engines := []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"exact", func(o *Options) {}},
+		{"sparse", func(o *Options) {
+			o.Engine = EngineSparse
+			o.InducingPoints = 16
+		}},
+	}
+	faults := []struct {
+		name string
+		ctx  func(*Context)
+		kpis func(*KPIs)
+	}{
+		{"nan delay", func(*Context) {}, func(k *KPIs) { k.Delay = math.NaN() }},
+		{"nan mean cqi", func(c *Context) { c.MeanCQI = math.NaN() }, func(*KPIs) {}},
+	}
+	for _, eng := range engines {
+		for _, f := range faults {
+			t.Run(eng.name+"/"+f.name, func(t *testing.T) {
+				opts := testOptions()
+				eng.mut(&opts)
+				a, err := NewAgent(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runPeriods(t, a, 0, 5)
+				ctx := scriptContext(5)
+				x, _ := a.SelectControl(ctx)
+				k := scriptKPIs(5, x)
+				save := func() []byte {
+					var buf bytes.Buffer
+					if err := a.SaveCheckpoint(&buf); err != nil {
+						t.Fatal(err)
+					}
+					return buf.Bytes()
+				}
+				before := save()
+				badCtx, badK := ctx, k
+				f.ctx(&badCtx)
+				f.kpis(&badK)
+				if err := a.Observe(badCtx, x, badK); err == nil {
+					t.Fatal("non-finite observation accepted")
+				}
+				if !bytes.Equal(save(), before) {
+					t.Fatal("rejected Observe changed the agent's state")
+				}
+				if err := a.Observe(ctx, x, k); err != nil {
+					t.Fatal(err)
+				}
+				for i, g := range a.gps {
+					if g.Len() != 6 {
+						t.Fatalf("GP %d holds %d samples after 6 valid periods", i, g.Len())
+					}
+				}
+			})
+		}
 	}
 }
 

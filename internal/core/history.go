@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // HistorySample is one training observation in the agent's GP working
 // units: the normalized joint (context, control) feature row plus the
@@ -47,9 +44,10 @@ func (a *Agent) History(max int) []HistorySample {
 	}
 	const dims = ContextDims + ControlDims
 	// The three GPs see identical add sequences (Observe feeds them in
-	// lockstep), so their retained rows align; a partial Observe that
-	// errored mid-append can leave one GP a row ahead, in which case the
-	// aligned common tail is exported.
+	// lockstep), so their retained rows align. Bad input is rejected before
+	// any append, but a factorization error inside one GP's append can
+	// still leave another GP a row ahead, in which case the aligned common
+	// tail is exported.
 	out := make([]HistorySample, n)
 	xOff := len(xs) - n*dims
 	for i := 0; i < n; i++ {
@@ -91,15 +89,8 @@ func (a *Agent) SeedHistory(samples []HistorySample) error {
 		if len(s.Features) != dims {
 			return fmt.Errorf("core: seed sample %d has %d features, want %d", i, len(s.Features), dims)
 		}
-		for _, v := range s.Features {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("core: seed sample %d has non-finite feature %v", i, v)
-			}
-		}
-		for _, v := range []float64{s.Cost, s.Delay, s.MAP} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("core: seed sample %d has non-finite target %v", i, v)
-			}
+		if err := checkFinite(s.Features, s.Cost, s.Delay, s.MAP); err != nil {
+			return fmt.Errorf("core: seed sample %d has %w", i, err)
 		}
 	}
 	for i, s := range samples {

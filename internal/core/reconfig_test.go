@@ -113,7 +113,7 @@ func TestReconfigInvalidatesDerivedState(t *testing.T) {
 	}
 	// Invalidation is observable immediately: no safe-set bit or cached
 	// diagnostic survives the reconfiguration.
-	for i, ok := range a.safe {
+	for i, ok := range a.acq.safe {
 		if ok {
 			t.Fatalf("stale safe-set bit %d survived reconfiguration", i)
 		}

@@ -127,7 +127,7 @@ func TestAutoSwitchMatchesAlwaysSparse(t *testing.T) {
 	// while auto is still exact, so feed observations directly).
 	for i := 0; i < T; i++ {
 		ctx := scriptContext(i)
-		x := auto.Grid()[i%len(auto.Grid())]
+		x := autoOpts.Grid.At(i % autoOpts.Grid.Size())
 		k := scriptKPIs(i, x)
 		if err := alwaysSparse.Observe(ctx, x, k); err != nil {
 			t.Fatal(err)

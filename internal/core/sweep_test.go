@@ -7,13 +7,6 @@ import (
 	"repro/internal/gp"
 )
 
-// opaqueKernel hides the concrete kernel type from gp.NewSweepPlan, forcing
-// an agent built with it onto the generic PosteriorBatch path while
-// computing exactly the same covariances.
-type opaqueKernel struct{ gp.Kernel }
-
-func opaqueMatern32(ls []float64) gp.Kernel { return &opaqueKernel{gp.NewMatern32(ls)} }
-
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func controlsBitwiseEqual(a, b Control) bool {
@@ -26,10 +19,11 @@ func posteriorsBitwiseEqual(a, b Posterior) bool {
 }
 
 // TestAgentSweepPlanMatchesGeneric pins the agent-level contract of the grid
-// sweep engine: an agent whose objectives sweep through SweepPlans selects
-// bitwise-identical controls — with bitwise-identical posteriors and
-// diagnostics — to one forced onto the generic path, across worker counts,
-// cost decomposition, and sliding-window evictions.
+// sweep engine: every period, the posteriors the selection acts on — the
+// acquisition's per-slot buffers, where full coverage makes slot == grid
+// index — equal the generic gp.PosteriorBatch over the enumerated grid's
+// feature rows bitwise, for every objective the agent sweeps, across worker
+// counts, cost decomposition, and sliding-window evictions.
 func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -46,30 +40,35 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(factory gp.KernelFactory) *Agent {
-				a, err := NewAgent(Options{
-					Grid:             testGrid(),
-					Weights:          CostWeights{Delta1: 1, Delta2: 1},
-					Constraints:      Constraints{MaxDelay: 0.9, MinMAP: 0.3},
-					Norm:             quadNorm(),
-					NoiseVars:        [3]float64{1e-4, 1e-4, 1e-4},
-					KernelFactory:    factory,
-					InferenceWorkers: tc.workers,
-					DecomposedCost:   tc.decomposed,
-					MaxObservations:  tc.maxObs,
-				})
-				if err != nil {
-					t.Fatal(err)
+			a, err := NewAgent(Options{
+				Grid:             testGrid(),
+				Weights:          CostWeights{Delta1: 1, Delta2: 1},
+				Constraints:      Constraints{MaxDelay: 0.9, MinMAP: 0.3},
+				Norm:             quadNorm(),
+				NoiseVars:        [3]float64{1e-4, 1e-4, 1e-4},
+				InferenceWorkers: tc.workers,
+				DecomposedCost:   tc.decomposed,
+				MaxObservations:  tc.maxObs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			grid, err := a.opts.Grid.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			feats := make([][]float64, len(grid))
+			refMu := make([]float64, len(grid))
+			refSigma := make([]float64, len(grid))
+			requireGeneric := func(step int, name string, g *gp.GP, mu, sigma []float64) {
+				t.Helper()
+				g.PosteriorBatch(feats, refMu, refSigma, gp.BatchOptions{Workers: tc.workers})
+				for i := range grid {
+					if !sameBits(mu[i], refMu[i]) || !sameBits(sigma[i], refSigma[i]) {
+						t.Fatalf("step %d, %s GP, grid point %d: plan (%x, %x), generic (%x, %x)",
+							step, name, i, mu[i], sigma[i], refMu[i], refSigma[i])
+					}
 				}
-				return a
-			}
-			planned := build(gp.Matern32Factory)
-			generic := build(opaqueMatern32)
-			if planned.needsGenericSweep() {
-				t.Fatal("default factory should give every objective a sweep plan")
-			}
-			if !generic.needsGenericSweep() {
-				t.Fatal("opaque kernel should defeat plan construction")
 			}
 
 			env := &quadEnv{}
@@ -82,32 +81,37 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 					MeanCQI:  10 + float64(i%5),
 					VarCQI:   float64(i%4) / 2,
 				}
-				xp, ip := planned.SelectControl(ctx)
-				xg, ig := generic.SelectControl(ctx)
-				if !controlsBitwiseEqual(xp, xg) {
-					t.Fatalf("step %d: plan selected %+v, generic %+v", i, xp, xg)
+				for j, x := range grid {
+					feats[j] = Features(ctx, x)
 				}
-				if !posteriorsBitwiseEqual(ip.Cost, ig.Cost) ||
-					!posteriorsBitwiseEqual(ip.Delay, ig.Delay) ||
-					!posteriorsBitwiseEqual(ip.MAP, ig.MAP) {
-					t.Fatalf("step %d: posterior mismatch: plan %+v, generic %+v", i, ip, ig)
+				x, info := a.SelectControl(ctx)
+				e := a.acq
+				if tc.decomposed {
+					for k, g := range a.powerGPs {
+						requireGeneric(i, powerObjectiveNames[k], g, e.powMu[k], e.powSigma[k])
+					}
+				} else {
+					requireGeneric(i, "cost", a.gps[gpCost], e.mu[gpCost], e.sigma[gpCost])
 				}
-				if !sameBits(ip.LCB, ig.LCB) || ip.SafeSetSize != ig.SafeSetSize ||
-					ip.FromSeed != ig.FromSeed || ip.Workers != ig.Workers {
-					t.Fatalf("step %d: diagnostics mismatch: plan %+v, generic %+v", i, ip, ig)
+				requireGeneric(i, "delay", a.gps[gpDelay], e.mu[gpDelay], e.sigma[gpDelay])
+				requireGeneric(i, "map", a.gps[gpMAP], e.mu[gpMAP], e.sigma[gpMAP])
+				// The diagnostics report the winner's entries of those buffers.
+				gi := a.opts.Grid.Index(x)
+				if !controlsBitwiseEqual(x, grid[gi]) ||
+					!posteriorsBitwiseEqual(info.Cost, Posterior{Mean: e.mu[gpCost][gi], Sigma: e.sigma[gpCost][gi]}) ||
+					!posteriorsBitwiseEqual(info.Delay, Posterior{Mean: e.mu[gpDelay][gi], Sigma: e.sigma[gpDelay][gi]}) ||
+					!posteriorsBitwiseEqual(info.MAP, Posterior{Mean: e.mu[gpMAP][gi], Sigma: e.sigma[gpMAP][gi]}) {
+					t.Fatalf("step %d: diagnostics %+v do not match grid point %d", i, info, gi)
 				}
-				k, err := env.Measure(xp)
+				k, err := env.Measure(x)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := planned.Observe(ctx, xp, k); err != nil {
-					t.Fatal(err)
-				}
-				if err := generic.Observe(ctx, xg, k); err != nil {
+				if err := a.Observe(ctx, x, k); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if tc.maxObs > 0 && planned.gps[gpDelay].Evictions() == 0 {
+			if tc.maxObs > 0 && a.gps[gpDelay].Evictions() == 0 {
 				t.Fatal("eviction case never evicted: the rebuild path went unexercised")
 			}
 		})

@@ -181,9 +181,10 @@ func BenchmarkGridSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		idxs := allIndices(plan)
 		b.Run(fmt.Sprintf("t=%d/engine=plan", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plan.Sweep(ctx, mu, sigma, 0)
+				plan.SweepSubset(ctx, idxs, mu, sigma, 0)
 			}
 		})
 	}

@@ -98,6 +98,8 @@ func TestKernelName(t *testing.T) {
 		{&Matern32{LengthScales: []float64{1}}, KernelMatern32},
 		{&Matern52{LengthScales: []float64{1}}, KernelMatern52},
 		{&RBF{LengthScales: []float64{1}}, KernelRBF},
+		// A foreign kernel is named by its Go type.
+		{&opaque{NewMatern32([]float64{1})}, "*gp.opaque"},
 	}
 	for _, tc := range cases {
 		if got := KernelName(tc.k); got != tc.want {

@@ -24,10 +24,10 @@ func sparseSweepTestGP(t *testing.T, ctxDims, ctrlDims, n int, seed int64) *GP {
 	return g
 }
 
-// TestSweepSubsetMatchesSweep pins the adaptive acquisition's contract:
-// SweepSubset over an arbitrary index list — unsorted, duplicated,
-// tile-misaligned — reproduces the full Sweep's output at those indices
-// bitwise, for every worker count, on both engines.
+// TestSweepSubsetMatchesSweep pins the acquisition's contract: SweepSubset
+// over an arbitrary index list — unsorted, duplicated, tile-misaligned —
+// reproduces the generic PosteriorBatch over the enumerated grid at those
+// indices bitwise, for every worker count, on both engines.
 func TestSweepSubsetMatchesSweep(t *testing.T) {
 	shapes := []struct {
 		ctxDims int
@@ -61,7 +61,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 				size := p.GridSize()
 				refMu := make([]float64, size)
 				refSigma := make([]float64, size)
-				p.Sweep(ctx, refMu, refSigma, 1)
+				g.PosteriorBatch(enumerateGrid(ctx, levels), refMu, refSigma, BatchOptions{Workers: 1})
 
 				subsets := [][]int32{
 					{},                                    // empty subset is a no-op
@@ -84,7 +84,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 						p.SweepSubset(ctx, idxs, mu, sigma, workers)
 						for j, gi := range idxs {
 							if !bitsEqual(mu[j], refMu[gi]) || !bitsEqual(sigma[j], refSigma[gi]) {
-								t.Fatalf("subset %d workers=%d slot %d (grid %d): subset (%x, %x), sweep (%x, %x)",
+								t.Fatalf("subset %d workers=%d slot %d (grid %d): subset (%x, %x), generic (%x, %x)",
 									si, workers, j, gi, mu[j], sigma[j], refMu[gi], refSigma[gi])
 							}
 						}

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -33,17 +34,17 @@ import (
 // swap replaces a basis row in place); a hyperparameter refit constructs
 // a new GP and therefore a new plan.
 //
-// Bitwise contract: Sweep reproduces PosteriorBatch over the
-// enumerated grid bit for bit, for every worker count. The per-dimension
-// terms are accumulated in the same two even/odd chains, in the same
-// order, as the kernel's scaledSqDistInv — the context dimensions come
-// first, so the per-period context partials are valid prefixes of both
-// chains — and the solve path is the same fused tiled solve.
+// Bitwise contract: SweepSubset reproduces PosteriorBatch over the
+// listed grid points bit for bit, for every worker count. The
+// per-dimension terms are accumulated in the same two even/odd chains, in
+// the same order, as the kernel's scaledSqDistInv — the context dimensions
+// come first, so the per-period context partials are valid prefixes of
+// both chains — and the solve path is the same fused tiled solve.
 //
-// Concurrency: like the GP read path, Sweep must not run concurrently
-// with Add or with another Sweep on the same plan (it refreshes the
-// distance tables); distinct plans over distinct GPs may sweep
-// concurrently, and Sweep shards its own work internally.
+// Concurrency: like the GP read path, SweepSubset must not run
+// concurrently with Add or with another sweep on the same plan (it
+// refreshes the distance tables); distinct plans over distinct GPs may
+// sweep concurrently, and SweepSubset shards its own work internally.
 type SweepPlan struct {
 	g       *GP
 	ctxDims int
@@ -86,6 +87,11 @@ type planMetrics struct {
 	rows      *telemetry.Gauge
 }
 
+// ErrUnsupportedKernel is wrapped by NewSweepPlan when the GP's kernel is
+// not one of the package's stationary kernels (Matérn-3/2, Matérn-5/2,
+// RBF), whose per-dimension distance terms the plan tabulates.
+var ErrUnsupportedKernel = errors.New("gp: kernel not supported by SweepPlan")
+
 // NewSweepPlan builds a sweep plan for g over the grid whose control
 // dimensions take the given level values (feature order, after the
 // ctxDims context dimensions). The grid is enumerated with the last
@@ -93,9 +99,9 @@ type planMetrics struct {
 // candidate features must equal the level values bitwise (core guarantees
 // this by deriving both from the same GridSpec).
 //
-// It returns an error when the kernel is not one of the package's
-// stationary kernels or the dimensions are inconsistent; callers fall
-// back to the generic PosteriorBatch path.
+// It returns an error wrapping ErrUnsupportedKernel when the kernel is not
+// one of the package's stationary kernels, and a plain error when the
+// dimensions are inconsistent.
 func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("gp: SweepPlan needs a GP")
@@ -110,7 +116,7 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	case *RBF:
 		ls, tail = k.LengthScales, tailRBF
 	default:
-		return nil, fmt.Errorf("gp: SweepPlan requires a package kernel, got %T", g.kernel)
+		return nil, fmt.Errorf("%w: got %T", ErrUnsupportedKernel, g.kernel)
 	}
 	if ctxDims < 0 {
 		return nil, fmt.Errorf("gp: negative context dimension count %d", ctxDims)
@@ -217,56 +223,6 @@ func (p *SweepPlan) sync() {
 	p.met.rows.Set(float64(n))
 }
 
-// Sweep evaluates the GP posterior at every grid point for the given
-// context features, writing into mu and sigma (each of length GridSize(),
-// in the grid's enumeration order). workers follows the semantics of
-// PosteriorBatch; results are bitwise identical to evaluating the
-// enumerated grid through that generic path, for every worker count.
-func (p *SweepPlan) Sweep(ctx []float64, mu, sigma []float64, workers int) {
-	if len(ctx) != p.ctxDims {
-		panic(fmt.Sprintf("gp: Sweep context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
-	}
-	if len(mu) != p.size || len(sigma) != p.size {
-		panic(fmt.Sprintf("gp: Sweep output lengths %d, %d do not match grid size %d", len(mu), len(sigma), p.size))
-	}
-	g := p.g
-	if g.met.sweep != nil {
-		start := time.Now()
-		defer func() { g.met.sweep.ObserveDuration(time.Since(start)) }()
-	}
-	n := g.basisLen()
-	if n == 0 {
-		prior := math.Sqrt(g.kernel.Prior())
-		for i := range mu {
-			mu[i] = 0
-			sigma[i] = prior
-		}
-		return
-	}
-	p.sync()
-	c0, c1 := p.contextPartials(ctx, n)
-	workers = ResolveWorkers(n, p.size, workers)
-	if workers <= 1 {
-		p.sweepRange(0, p.size, c0, c1, mu, sigma)
-		return
-	}
-	chunk := (p.size + workers - 1) / workers
-	chunk = (chunk + sweepTile - 1) / sweepTile * sweepTile
-	var wg sync.WaitGroup
-	for lo := 0; lo < p.size; lo += chunk {
-		hi := lo + chunk
-		if hi > p.size {
-			hi = p.size
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.sweepRange(lo, hi, c0, c1, mu, sigma)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // contextPartials computes the per-period context partials: the even/odd
 // accumulation chains of scaledSqDistInv restricted to the context
 // dimensions, one entry per basis row, into the plan's reused buffers.
@@ -299,12 +255,12 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 // SweepSubset evaluates the GP posterior at the grid points whose flat
 // indices are listed in idxs (each in [0, GridSize()), enumeration order),
 // writing into mu and sigma (each of length len(idxs), parallel to idxs).
-// Per candidate the arithmetic is identical to Sweep's — the same distance
-// tables, chain order, and fused tiled solve, and the per-column math is
-// independent of how columns are tiled — so output j equals the Sweep
-// output at grid index idxs[j] bitwise, for every worker count and any
-// subset composition. This is the adaptive acquisition engine's primitive:
-// a period costs O(len(idxs)) instead of O(GridSize()).
+// workers follows the semantics of PosteriorBatch. Output j equals
+// PosteriorBatch at the features of grid index idxs[j] bitwise, for every
+// worker count and any subset composition: the per-column math is
+// independent of how columns are tiled and sharded. A full sweep passes
+// every index in order; the acquisition's budgeted mode passes a few
+// percent of them, and a period costs O(len(idxs)).
 func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64, workers int) {
 	if len(ctx) != p.ctxDims {
 		panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
@@ -351,9 +307,14 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64
 	wg.Wait()
 }
 
-// sweepSubsetRange is sweepRange over an index list: positions [lo, hi) of
-// idxs are evaluated with the identical per-candidate arithmetic, writing
-// results at the same positions of mu and sigma.
+// sweepSubsetRange evaluates positions [lo, hi) of idxs, writing results
+// at the same positions of mu and sigma: per candidate, assemble the
+// cross-covariance column from the distance tables and context partials,
+// then run tiles of sweepTile columns through the fused solve — the same
+// tiling as posteriorRange, so shard boundaries never change results.
+// Sparse engine: the assembled columns are cross-covariances to the
+// inducing basis and each tile solves against both m-sized factors, the
+// same dual-solve shape as posteriorRange.
 //
 //edgebol:hot
 func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma []float64) {
@@ -390,83 +351,6 @@ func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma
 		}
 		for b := 0; b < m; b++ {
 			p.levelIndices(int(idxs[base+b]), li)
-			for e, d := range p.evens {
-				rowsE[e] = p.tables[d][li[d]][:n]
-			}
-			for o, d := range p.odds {
-				rowsO[o] = p.tables[d][li[d]][:n]
-			}
-			col := views[b]
-			fillSqDist(col, c0, c1, rowsE, rowsO)
-			p.applyTail(col)
-		}
-		if g.sp != nil {
-			copy(buf2, buf)
-			solver.SolveFused(g.sp.cholSig, views[:m], g.sp.alpha, mu[base:base+m], vsq[:m])
-			solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:n], muNy[:m], vsqNy[:m])
-			for b := 0; b < m; b++ {
-				v := prior - vsqNy[b] + vsq[b]
-				if v < 0 {
-					v = 0
-				}
-				sigma[base+b] = math.Sqrt(v)
-			}
-			continue
-		}
-		solver.SolveFused(g.chol, views[:m], g.alpha, mu[base:base+m], vsq[:m])
-		for b := 0; b < m; b++ {
-			v := prior - vsq[b]
-			if v < 0 {
-				v = 0
-			}
-			sigma[base+b] = math.Sqrt(v)
-		}
-	}
-}
-
-// sweepRange evaluates grid points [lo, hi): per candidate, assemble the
-// cross-covariance column from the distance tables and context partials,
-// then run tiles of sweepTile columns through the fused solve — the same
-// tiling as posteriorRange, so shard boundaries never change results.
-// Sparse engine: the assembled columns are cross-covariances to the
-// inducing basis and each tile solves against both m-sized factors, the
-// same dual-solve shape as posteriorRange.
-//
-//edgebol:hot
-func (p *SweepPlan) sweepRange(lo, hi int, c0, c1, mu, sigma []float64) {
-	g := p.g
-	n := g.basisLen()
-	prior := g.kernel.Prior()
-	tile := hi - lo
-	if tile > sweepTile {
-		tile = sweepTile
-	}
-	buf := make([]float64, tile*n)
-	views := make([][]float64, tile)
-	for b := range views {
-		views[b] = buf[b*n : (b+1)*n]
-	}
-	var buf2 []float64
-	var views2 [][]float64
-	if g.sp != nil {
-		buf2 = make([]float64, tile*n)
-		views2 = make([][]float64, tile)
-		for b := range views2 {
-			views2[b] = buf2[b*n : (b+1)*n]
-		}
-	}
-	var solver linalg.FusedSolver
-	var vsq, vsqNy, muNy [sweepTile]float64
-	li := make([]int, len(p.levels))
-	rowsE := make([][]float64, len(p.evens))
-	rowsO := make([][]float64, len(p.odds))
-	for base := lo; base < hi; base += tile {
-		m := hi - base
-		if m > tile {
-			m = tile
-		}
-		for b := 0; b < m; b++ {
-			p.levelIndices(base+b, li)
 			for e, d := range p.evens {
 				rowsE[e] = p.tables[d][li[d]][:n]
 			}

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -68,8 +69,18 @@ func addSweepObs(t *testing.T, g *GP, n int, rng *rand.Rand) {
 	}
 }
 
-// requireSweepMatches asserts that the plan's sweep reproduces the generic
-// engine bitwise under every worker count.
+// allIndices lists every grid index of a plan in enumeration order: the
+// index list of a full sweep.
+func allIndices(p *SweepPlan) []int32 {
+	idxs := make([]int32, p.GridSize())
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
+}
+
+// requireSweepMatches asserts that the plan's full-grid sweep reproduces
+// the generic engine bitwise under every worker count.
 func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, levels [][]float64) {
 	t.Helper()
 	feats := enumerateGrid(ctx, levels)
@@ -79,10 +90,11 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 	refMu := make([]float64, len(feats))
 	refSigma := make([]float64, len(feats))
 	g.PosteriorBatch(feats, refMu, refSigma, BatchOptions{Workers: 1})
+	idxs := allIndices(p)
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
 		sigma := make([]float64, len(feats))
-		p.Sweep(ctx, mu, sigma, workers)
+		p.SweepSubset(ctx, idxs, mu, sigma, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 				t.Fatalf("workers=%d grid point %d: plan (%x, %x), generic (%x, %x)",
@@ -181,29 +193,35 @@ func TestSweepPlanEmptyGP(t *testing.T) {
 // opaque wraps a kernel to defeat the plan's concrete-type dispatch.
 type opaque struct{ Kernel }
 
-// TestNewSweepPlanErrors covers the fallback-triggering constructor errors.
+// TestNewSweepPlanErrors covers the constructor errors; a foreign kernel
+// wraps ErrUnsupportedKernel.
 func TestNewSweepPlanErrors(t *testing.T) {
 	g := New(NewMatern32([]float64{0.5, 0.5, 0.5}), 1e-3, 0)
 	levels := sweepLevels([]int{3, 4})
 	cases := []struct {
 		name string
 		call func() error
+		want error // matched with errors.Is when set
 	}{
-		{"nil gp", func() error { _, err := NewSweepPlan(nil, 1, levels); return err }},
+		{"nil gp", func() error { _, err := NewSweepPlan(nil, 1, levels); return err }, nil},
 		{"foreign kernel", func() error {
 			w := New(&opaque{NewMatern32([]float64{0.5, 0.5, 0.5})}, 1e-3, 0)
 			_, err := NewSweepPlan(w, 1, levels)
 			return err
-		}},
-		{"negative ctx dims", func() error { _, err := NewSweepPlan(g, -1, levels); return err }},
-		{"no control dims", func() error { _, err := NewSweepPlan(g, 3, nil); return err }},
-		{"dim mismatch", func() error { _, err := NewSweepPlan(g, 2, levels); return err }},
-		{"empty dimension", func() error { _, err := NewSweepPlan(g, 1, [][]float64{{0.1}, {}}); return err }},
+		}, ErrUnsupportedKernel},
+		{"negative ctx dims", func() error { _, err := NewSweepPlan(g, -1, levels); return err }, nil},
+		{"no control dims", func() error { _, err := NewSweepPlan(g, 3, nil); return err }, nil},
+		{"dim mismatch", func() error { _, err := NewSweepPlan(g, 2, levels); return err }, nil},
+		{"empty dimension", func() error { _, err := NewSweepPlan(g, 1, [][]float64{{0.1}, {}}); return err }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.call() == nil {
+			err := tc.call()
+			if err == nil {
 				t.Fatal("expected error")
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
@@ -228,12 +246,13 @@ func TestSweepPlanTelemetry(t *testing.T) {
 		t.Fatalf("row gauge %v after construction, want 10", rows.Value())
 	}
 	ctx := []float64{0.5}
+	idxs := allIndices(p)
 	mu := make([]float64, p.GridSize())
 	sigma := make([]float64, p.GridSize())
 	rng := rand.New(rand.NewSource(5))
 
 	addSweepObs(t, g, 2, rng)
-	p.Sweep(ctx, mu, sigma, 1)
+	p.SweepSubset(ctx, idxs, mu, sigma, 1)
 	if got := refreshes.Value(); got != 1 {
 		t.Fatalf("refreshes %d after append, want 1", got)
 	}
@@ -245,7 +264,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	if g.Evictions() == 0 {
 		t.Fatal("expected an eviction")
 	}
-	p.Sweep(ctx, mu, sigma, 1)
+	p.SweepSubset(ctx, idxs, mu, sigma, 1)
 	if got := builds.Value(); got != 1 {
 		t.Fatalf("builds %d after eviction (construction-time build is uninstrumented), want 1", got)
 	}

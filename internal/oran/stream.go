@@ -157,11 +157,13 @@ func (s *KPIStreamServer) serve(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	// Register with the data plane before acknowledging: a subscriber that
+	// has its ack must receive every indication published after it.
+	ch, cancel := s.dp.Subscribe()
+	defer cancel()
 	if err := WriteFrame(conn, ack); err != nil {
 		return
 	}
-	ch, cancel := s.dp.Subscribe()
-	defer cancel()
 	// A read loop in the background turns a peer disconnect into a conn
 	// error immediately, so an idle subscriber's departure is noticed.
 	peerGone := make(chan struct{})
