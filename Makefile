@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 # race runs the full suite under the race detector; the concurrent
-# O-RAN transport/stream/dataplane regression lives in internal/oran.
+# O-RAN transport/dataplane/shutdown regression lives in internal/oran.
 race:
 	$(GO) test -race ./...
 

@@ -14,10 +14,9 @@
 //     any context-typed value, so the goroutine outlives cancellation.
 //
 //  3. A call to a method M that ignores the context when the receiver
-//     also offers MCtx or MContext taking one — exactly the
-//     Measure/MeasureCtx and Call/CallCtx pairs of the O-RAN control
-//     plane, whose context-threading regressions this analyzer exists
-//     to catch.
+//     also offers MCtx or MContext taking one — such as the
+//     Measure/MeasureCtx pair of core.ContextEnvironment, whose
+//     context-threading regressions this analyzer exists to catch.
 //
 // Functions whose context parameter is blank (`_ context.Context`) are
 // skipped: they have declared they cannot thread it. Deliberate

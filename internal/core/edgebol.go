@@ -781,11 +781,17 @@ func (a *Agent) PosteriorAt(ctx Context, x Control) (cost, delay, mAP Posterior)
 
 // Observe runs lines 8–13 of Algorithm 1: it computes the cost from the
 // observed KPIs and appends the (context, control) → {u, d, ρ} samples to
-// the three GPs. It is all-or-nothing on bad input: an invalid control or
-// a non-finite context feature or normalized target is rejected before
-// any GP changes.
+// the three GPs. It is all-or-nothing on bad input: an out-of-range
+// context, control or KPI, or a non-finite feature or normalized target,
+// is rejected before any GP changes.
 func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
+	if err := ctx.Validate(); err != nil {
+		return err
+	}
 	if err := x.Validate(); err != nil {
+		return err
+	}
+	if err := k.Validate(); err != nil {
 		return err
 	}
 	z := Features(ctx, x)
@@ -911,12 +917,16 @@ type ContextEnvironment interface {
 // StepCtx is Step bounded by a context: the period is abandoned (with
 // ctx's error) if ctx is done before selection or learning, and the
 // measurement itself is canceled mid-flight when the environment
-// implements ContextEnvironment.
+// implements ContextEnvironment. A context Observe would reject ends the
+// period before selection, so no control is actuated for it.
 func (a *Agent) StepCtx(ctx context.Context, env Environment) (Control, KPIs, SelectionInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return Control{}, KPIs{}, SelectionInfo{}, err
 	}
 	c := env.Context()
+	if err := c.Validate(); err != nil {
+		return Control{}, KPIs{}, SelectionInfo{}, err
+	}
 	x, info := a.SelectControl(c)
 	if err := ctx.Err(); err != nil {
 		return x, KPIs{}, info, err

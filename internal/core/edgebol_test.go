@@ -207,10 +207,10 @@ func TestObserveRejectsInvalidControl(t *testing.T) {
 	}
 }
 
-// TestObserveIsAllOrNothing: an Observe rejected for a non-finite KPI or
-// context changes nothing — the checkpoint bytes before and after are
-// identical — on both GP engines, and the agent then learns the valid
-// sample as usual.
+// TestObserveIsAllOrNothing: an Observe rejected for a non-finite or
+// out-of-range KPI or context changes nothing — the checkpoint bytes
+// before and after are identical — on both GP engines, and the agent then
+// learns the valid sample as usual.
 func TestObserveIsAllOrNothing(t *testing.T) {
 	engines := []struct {
 		name string
@@ -229,6 +229,10 @@ func TestObserveIsAllOrNothing(t *testing.T) {
 	}{
 		{"nan delay", func(*Context) {}, func(k *KPIs) { k.Delay = math.NaN() }},
 		{"nan mean cqi", func(c *Context) { c.MeanCQI = math.NaN() }, func(*KPIs) {}},
+		{"negative users", func(c *Context) { c.NumUsers = -1 }, func(*KPIs) {}},
+		{"mean cqi 16", func(c *Context) { c.MeanCQI = 16 }, func(*KPIs) {}},
+		{"negative delay", func(*Context) {}, func(k *KPIs) { k.Delay = -0.1 }},
+		{"map 1.2", func(*Context) {}, func(k *KPIs) { k.MAP = 1.2 }},
 	}
 	for _, eng := range engines {
 		for _, f := range faults {
@@ -255,7 +259,7 @@ func TestObserveIsAllOrNothing(t *testing.T) {
 				f.ctx(&badCtx)
 				f.kpis(&badK)
 				if err := a.Observe(badCtx, x, badK); err == nil {
-					t.Fatal("non-finite observation accepted")
+					t.Fatal("invalid observation accepted")
 				}
 				if !bytes.Equal(save(), before) {
 					t.Fatal("rejected Observe changed the agent's state")

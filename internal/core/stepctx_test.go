@@ -58,3 +58,24 @@ func TestStepDelegatesToStepCtx(t *testing.T) {
 		t.Fatalf("observations %d", a.Observations())
 	}
 }
+
+// TestStepCtxRejectsInvalidContext: a context Observe would reject ends
+// the period before selection, so no control is actuated for it.
+func TestStepCtxRejectsInvalidContext(t *testing.T) {
+	for _, c := range []Context{
+		{NumUsers: -1, MeanCQI: 15},
+		{NumUsers: 1, MeanCQI: 16},
+	} {
+		a := newTestAgent(t, Constraints{MaxDelay: 1.2, MinMAP: 0.2})
+		env := &ctxEnv{quadEnv: quadEnv{ctx: c}}
+		if _, _, _, err := a.StepCtx(context.Background(), env); err == nil {
+			t.Fatalf("context %+v accepted", c)
+		}
+		if env.sawCtx {
+			t.Fatalf("context %+v: a control was actuated", c)
+		}
+		if a.Observations() != 0 {
+			t.Fatalf("context %+v: observations %d", c, a.Observations())
+		}
+	}
+}

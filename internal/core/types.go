@@ -87,6 +87,22 @@ type Context struct {
 	VarCQI   float64
 }
 
+// Validate reports whether the context lies in its domain: a
+// non-negative user count, a mean CQI in [0, ran.MaxCQI], and a finite,
+// non-negative CQI variance.
+func (c Context) Validate() error {
+	if c.NumUsers < 0 {
+		return fmt.Errorf("core: negative user count %d", c.NumUsers)
+	}
+	if c.MeanCQI < 0 || c.MeanCQI > ran.MaxCQI || math.IsNaN(c.MeanCQI) {
+		return fmt.Errorf("core: mean CQI %v outside [0,%d]", c.MeanCQI, ran.MaxCQI)
+	}
+	if c.VarCQI < 0 || math.IsNaN(c.VarCQI) || math.IsInf(c.VarCQI, 0) {
+		return fmt.Errorf("core: CQI variance %v not finite and non-negative", c.VarCQI)
+	}
+	return nil
+}
+
 // ContextDims is the dimensionality of the context features.
 const ContextDims = 3
 
@@ -137,6 +153,20 @@ type KPIs struct {
 	ServerPower float64
 	// BSPower is the baseband draw in watts (PI 4).
 	BSPower float64
+}
+
+// Validate reports whether the KPIs are physical: delays and powers
+// finite and non-negative, and mAP in [0,1].
+func (k KPIs) Validate() error {
+	for _, v := range [...]float64{k.Delay, k.GPUDelay, k.ServerPower, k.BSPower} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: KPIs %+v: delays and powers must be finite and non-negative", k)
+		}
+	}
+	if k.MAP < 0 || k.MAP > 1 || math.IsNaN(k.MAP) {
+		return fmt.Errorf("core: mAP %v outside [0,1]", k.MAP)
+	}
+	return nil
 }
 
 // CostWeights are the monetary energy prices δ₁ (server) and δ₂ (vBS) of

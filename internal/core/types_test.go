@@ -29,6 +29,48 @@ func TestControlValidate(t *testing.T) {
 	}
 }
 
+func TestContextValidate(t *testing.T) {
+	for _, c := range []Context{{}, {NumUsers: 6, MeanCQI: ran.MaxCQI, VarCQI: 40}} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := []Context{
+		{NumUsers: -1, MeanCQI: 10},
+		{NumUsers: 1, MeanCQI: -0.5},
+		{NumUsers: 1, MeanCQI: ran.MaxCQI + 1},
+		{NumUsers: 1, MeanCQI: math.NaN()},
+		{NumUsers: 1, MeanCQI: 10, VarCQI: -1},
+		{NumUsers: 1, MeanCQI: 10, VarCQI: math.Inf(1)},
+	}
+	for _, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Fatalf("expected validation error for %+v", c)
+		}
+	}
+}
+
+func TestKPIsValidate(t *testing.T) {
+	good := KPIs{Delay: 0.3, GPUDelay: 0.1, MAP: 1, ServerPower: 90, BSPower: 5}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mut := range []func(*KPIs){
+		func(k *KPIs) { k.Delay = -0.1 },
+		func(k *KPIs) { k.GPUDelay = math.NaN() },
+		func(k *KPIs) { k.ServerPower = math.Inf(1) },
+		func(k *KPIs) { k.BSPower = -1 },
+		func(k *KPIs) { k.MAP = 1.2 },
+		func(k *KPIs) { k.MAP = math.NaN() },
+	} {
+		k := good
+		mut(&k)
+		if err := k.Validate(); err == nil {
+			t.Fatalf("expected validation error for %+v", k)
+		}
+	}
+}
+
 func TestMCSCapMapping(t *testing.T) {
 	if (Control{MCS: 0}).MCSCap() != 0 {
 		t.Fatal("MCS 0 should map to cap 0")

@@ -1,6 +1,7 @@
 package oran
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -106,7 +107,7 @@ func (r *NearRTRIC) handlePolicyLifecycle(req Message) (bool, Message, error) {
 			if err != nil {
 				return true, Message{}, err
 			}
-			if _, err := r.e2.Call(revert); err != nil {
+			if _, err := r.e2.Call(context.Background(), revert); err != nil {
 				return true, Message{}, err
 			}
 		}
@@ -117,12 +118,12 @@ func (r *NearRTRIC) handlePolicyLifecycle(req Message) (bool, Message, error) {
 }
 
 // QueryPolicy fetches a policy instance from the near-RT RIC.
-func (r *NonRTRIC) QueryPolicy(id string) (RadioPolicy, error) {
+func (r *NonRTRIC) QueryPolicy(ctx context.Context, id string) (RadioPolicy, error) {
 	req, err := NewMessage(TypeA1PolicyQuery, PolicyRef{PolicyID: id})
 	if err != nil {
 		return RadioPolicy{}, err
 	}
-	resp, err := r.a1.Call(req)
+	resp, err := r.a1.Call(ctx, req)
 	if err != nil {
 		return RadioPolicy{}, err
 	}
@@ -134,8 +135,8 @@ func (r *NonRTRIC) QueryPolicy(id string) (RadioPolicy, error) {
 }
 
 // ListPolicies enumerates the policy instances held at the near-RT RIC.
-func (r *NonRTRIC) ListPolicies() ([]string, error) {
-	resp, err := r.a1.Call(Message{Type: TypeA1PolicyList})
+func (r *NonRTRIC) ListPolicies(ctx context.Context) ([]string, error) {
+	resp, err := r.a1.Call(ctx, Message{Type: TypeA1PolicyList})
 	if err != nil {
 		return nil, err
 	}
@@ -148,16 +149,11 @@ func (r *NonRTRIC) ListPolicies() ([]string, error) {
 
 // DeletePolicy removes a policy instance; deleting the active one reverts
 // the vBS to unconstrained radio defaults.
-func (r *NonRTRIC) DeletePolicy(id string) error {
+func (r *NonRTRIC) DeletePolicy(ctx context.Context, id string) error {
 	req, err := NewMessage(TypeA1PolicyDelete, PolicyRef{PolicyID: id})
 	if err != nil {
 		return err
 	}
-	_, err = r.a1.Call(req)
+	_, err = r.a1.Call(ctx, req)
 	return err
-}
-
-// LastPolicyID returns the id of the most recently deployed policy.
-func (r *NonRTRIC) LastPolicyID() string {
-	return fmt.Sprintf("edgebol-%d", r.policyID)
 }

@@ -1,20 +1,22 @@
 package oran
 
 import (
+	"context"
 	"testing"
 )
 
 func TestA1PolicyLifecycle(t *testing.T) {
 	d, _ := newDeployment(t, 21)
 	non := d.NonRT
+	ctx := context.Background()
 
-	if err := non.ApplyRadioPolicy(0.7, 0.9); err != nil {
+	if err := non.ApplyRadioPolicy(ctx, 0.7, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	id := non.LastPolicyID()
+	id := RadioPolicyID
 
 	// Query returns the deployed instance.
-	p, err := non.QueryPolicy(id)
+	p, err := non.QueryPolicy(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func TestA1PolicyLifecycle(t *testing.T) {
 	}
 
 	// List enumerates it.
-	ids, err := non.ListPolicies()
+	ids, err := non.ListPolicies(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,35 +33,61 @@ func TestA1PolicyLifecycle(t *testing.T) {
 		t.Fatalf("policy list %v, want [%s]", ids, id)
 	}
 
-	// A second deployment creates a second instance.
-	if err := non.ApplyRadioPolicy(0.5, 0.5); err != nil {
+	// A second deployment updates the same instance.
+	if err := non.ApplyRadioPolicy(ctx, 0.5, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	ids, err = non.ListPolicies()
+	ids, err = non.ListPolicies(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 {
-		t.Fatalf("policy list %v, want 2 instances", ids)
+	if len(ids) != 1 || ids[0] != id {
+		t.Fatalf("policy list %v, want [%s]", ids, id)
 	}
-
-	// Deleting a stale instance leaves the active policy alone.
-	if err := non.DeletePolicy(id); err != nil {
+	if p, err = non.QueryPolicy(ctx, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := non.QueryPolicy(id); err == nil {
+	if p.Airtime != 0.5 || p.MCS != 0.5 {
+		t.Fatalf("queried policy %+v does not match the update", p)
+	}
+
+	// Deleting the instance removes it.
+	if err := non.DeletePolicy(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := non.QueryPolicy(ctx, id); err == nil {
 		t.Fatal("deleted policy should not be queryable")
+	}
+}
+
+// TestA1PolicyStoreStaysBounded: a long run keeps one policy instance at
+// the near-RT RIC, not one per control period.
+func TestA1PolicyStoreStaysBounded(t *testing.T) {
+	d, _ := newDeployment(t, 24)
+	env := d.Env()
+	for i := 0; i < 50; i++ {
+		if _, err := env.Measure(fullControl()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, err := d.NonRT.ListPolicies(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != RadioPolicyID {
+		t.Fatalf("policy list after 50 periods has %d instances, want [%s]", len(ids), RadioPolicyID)
 	}
 }
 
 func TestA1DeleteActivePolicyRevertsVBS(t *testing.T) {
 	d, _ := newDeployment(t, 22)
 	non := d.NonRT
+	ctx := context.Background()
 
-	if err := non.ApplyRadioPolicy(0.3, 0.2); err != nil {
+	if err := non.ApplyRadioPolicy(ctx, 0.3, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if err := non.DeletePolicy(non.LastPolicyID()); err != nil {
+	if err := non.DeletePolicy(ctx, RadioPolicyID); err != nil {
 		t.Fatal(err)
 	}
 	// After the revert, a period must run under unconstrained radio
@@ -70,7 +98,7 @@ func TestA1DeleteActivePolicyRevertsVBS(t *testing.T) {
 	}
 	constrained := 0.0
 	{
-		if err := non.ApplyRadioPolicy(0.3, 0.2); err != nil {
+		if err := non.ApplyRadioPolicy(ctx, 0.3, 0.2); err != nil {
 			t.Fatal(err)
 		}
 		r2, err := d.DataPlane.RunPeriod()
@@ -87,10 +115,11 @@ func TestA1DeleteActivePolicyRevertsVBS(t *testing.T) {
 
 func TestA1QueryUnknownPolicy(t *testing.T) {
 	d, _ := newDeployment(t, 23)
-	if _, err := d.NonRT.QueryPolicy("nope"); err == nil {
+	ctx := context.Background()
+	if _, err := d.NonRT.QueryPolicy(ctx, "nope"); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
-	if err := d.NonRT.DeletePolicy("nope"); err == nil {
+	if err := d.NonRT.DeletePolicy(ctx, "nope"); err == nil {
 		t.Fatal("expected error deleting unknown policy")
 	}
 }

@@ -26,21 +26,21 @@ func slowEchoServer(t *testing.T, delay time.Duration) *Server {
 
 func TestCallCtxCanceledUpfront(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr(), time.Second)
+	c, err := Dial(context.Background(), s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.CallCtx(ctx, Message{Type: "ping"}); !errors.Is(err, context.Canceled) {
+	if _, err := c.Call(ctx, Message{Type: "ping"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestCallCtxAbortsInFlightRequest(t *testing.T) {
 	s := slowEchoServer(t, 2*time.Second)
-	c, err := Dial(s.Addr(), 10*time.Second)
+	c, err := Dial(context.Background(), s.Addr(), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCallCtxAbortsInFlightRequest(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.CallCtx(ctx, Message{Type: "ping"})
+	_, err = c.Call(ctx, Message{Type: "ping"})
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -60,7 +60,7 @@ func TestCallCtxAbortsInFlightRequest(t *testing.T) {
 func TestClientInstrumentation(t *testing.T) {
 	s := echoServer(t)
 	s.Instrument(telemetry.NewRegistry(), "ignored") // separate registry: server counters not under test here
-	c, err := Dial(s.Addr(), time.Second)
+	c, err := Dial(context.Background(), s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestClientInstrumentation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg, "e2")
 	for i := 0; i < 4; i++ {
-		if _, err := c.Call(Message{Type: "ping"}); err != nil {
+		if _, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,20 +86,20 @@ func TestClientInstrumentation(t *testing.T) {
 
 func TestClientReconnectCounter(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr(), time.Second)
+	c, err := Dial(context.Background(), s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg, "svc")
-	if _, err := c.Call(Message{Type: "ping"}); err != nil {
+	if _, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	// Break the client's connection underneath it; the next call must
 	// reconnect transparently and count the event.
 	_ = c.conn.Close()
-	if _, err := c.Call(Message{Type: "ping"}); err != nil {
+	if _, err := c.Call(context.Background(), Message{Type: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -115,23 +115,5 @@ func TestDeployTimeoutDefaults(t *testing.T) {
 	// The zero DeployOptions must be usable: default timeout, no metrics.
 	if DefaultTimeout <= 0 {
 		t.Fatal("DefaultTimeout must be positive")
-	}
-}
-
-func TestSubscribeKPIsContextCancel(t *testing.T) {
-	_, srv := newStreamFixture(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, _, err := SubscribeKPIsContext(ctx, srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	select {
-	case _, ok := <-ch:
-		if ok {
-			t.Fatal("unexpected indication")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancellation did not close the stream")
 	}
 }

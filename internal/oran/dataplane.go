@@ -83,6 +83,9 @@ func (d *DataPlane) SetService(c ServiceConfig) error {
 	if c.GPUSpeed < 0 || c.GPUSpeed > 1 {
 		return fmt.Errorf("oran: GPU speed %v outside [0,1]", c.GPUSpeed)
 	}
+	if c.SplitLayer < 0 || c.SplitLayer > 1 {
+		return fmt.Errorf("oran: split layer %v outside [0,1]", c.SplitLayer)
+	}
 	d.mu.Lock()
 	d.service = c
 	d.mu.Unlock()
@@ -100,6 +103,7 @@ func (d *DataPlane) RunPeriod() (PeriodReport, error) {
 		Airtime:    d.radio.Airtime,
 		GPUSpeed:   d.service.GPUSpeed,
 		MCS:        d.radio.MCS,
+		SplitLayer: d.service.SplitLayer,
 	}
 	d.mu.Unlock()
 	if err := x.Validate(); err != nil {
@@ -139,4 +143,73 @@ func (d *DataPlane) KPI() (KPIReport, error) {
 func (d *DataPlane) ContextReport() ContextReport {
 	ctx := d.env.Context()
 	return ContextReport{NumUsers: ctx.NumUsers, MeanCQI: ctx.MeanCQI, VarCQI: ctx.VarCQI}
+}
+
+// subscriptions is the publish side of the KPI REPORT service, embedded in
+// the DataPlane: every completed period is pushed to all subscribers.
+type subscriptions struct {
+	mu   sync.Mutex
+	next int
+	subs map[int]chan KPIReport
+
+	published *telemetry.Counter
+	dropped   *telemetry.Counter
+}
+
+// instrument counts published and dropped indications; nil handles are
+// no-ops, so an uninstrumented publish path is unchanged.
+func (s *subscriptions) instrument(reg *telemetry.Registry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.published = reg.Counter("edgebol_oran_indications_published_total")
+	s.dropped = reg.Counter("edgebol_oran_indications_dropped_total")
+}
+
+// subscribe registers a subscriber with a small buffer.
+func (s *subscriptions) subscribe() (int, <-chan KPIReport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.subs == nil {
+		s.subs = make(map[int]chan KPIReport)
+	}
+	id := s.next
+	s.next++
+	ch := make(chan KPIReport, 16)
+	s.subs[id] = ch
+	return id, ch
+}
+
+// unsubscribe removes a subscriber.
+func (s *subscriptions) unsubscribe(id int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ch, ok := s.subs[id]; ok {
+		delete(s.subs, id)
+		close(ch)
+	}
+}
+
+// publish fans a report out without blocking: a stalled subscriber drops
+// indications rather than stalling the data plane.
+func (s *subscriptions) publish(r KPIReport) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ch := range s.subs {
+		select {
+		case ch <- r:
+			s.published.Inc()
+		default:
+			// A stalled subscriber loses indications instead of stalling
+			// the data plane; the drop counter makes that visible.
+			s.dropped.Inc()
+		}
+	}
+}
+
+// Subscribe registers an in-process KPI subscriber on the data plane.
+// Every RunPeriod publishes one report. Close the subscription with the
+// returned cancel function.
+func (d *DataPlane) Subscribe() (<-chan KPIReport, func()) {
+	id, ch := d.subs.subscribe()
+	return ch, func() { d.subs.unsubscribe(id) }
 }

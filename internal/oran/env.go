@@ -106,19 +106,19 @@ func Deploy(ctx context.Context, env core.Environment, opts DeployOptions) (*Dep
 	}
 	started = append(started, svc)
 	svc.Instrument(reg)
-	near, err := NewNearRTRICContext(ctx, "127.0.0.1:0", e2.Addr(), timeout)
+	near, err := NewNearRTRIC(ctx, "127.0.0.1:0", e2.Addr(), timeout)
 	if err != nil {
 		return fail(err)
 	}
 	started = append(started, near)
 	near.Instrument(reg)
-	non, err := NewNonRTRICContext(ctx, near.Addr(), timeout)
+	non, err := NewNonRTRIC(ctx, near.Addr(), timeout)
 	if err != nil {
 		return fail(err)
 	}
 	started = append(started, non)
 	non.Instrument(reg)
-	svcClient, err := DialContext(ctx, svc.Addr(), timeout)
+	svcClient, err := Dial(ctx, svc.Addr(), timeout)
 	if err != nil {
 		return fail(err)
 	}
@@ -212,9 +212,11 @@ type Environment struct {
 // Env returns the deployment's core.Environment view.
 func (d *Deployment) Env() *Environment { return &Environment{d: d} }
 
-// Context implements core.Environment via the O1/E2 context pull.
+// Context implements core.Environment via the O1/E2 context pull. The
+// core.Environment signature carries no ctx, so the pull runs under
+// context.Background().
 func (e *Environment) Context() core.Context {
-	report, err := e.d.NonRT.CollectContext()
+	report, err := e.d.NonRT.CollectContext(context.Background())
 	if err != nil {
 		// The context pull failing means the control plane is down; the
 		// zero context keeps the caller deterministic rather than hiding a
@@ -237,19 +239,23 @@ func (e *Environment) MeasureCtx(ctx context.Context, x core.Control) (core.KPIs
 		return core.KPIs{}, err
 	}
 	// rApp → A1 → xApp → E2: radio policies.
-	if err := e.d.NonRT.ApplyRadioPolicyCtx(ctx, x.Airtime, x.MCS); err != nil {
+	if err := e.d.NonRT.ApplyRadioPolicy(ctx, x.Airtime, x.MCS); err != nil {
 		return core.KPIs{}, fmt.Errorf("oran: radio policy: %w", err)
 	}
 	// Edge orchestrator → service controller: service policies.
-	cfg, err := NewMessage(TypeServiceConfig, ServiceConfig{Resolution: x.Resolution, GPUSpeed: x.GPUSpeed})
+	cfg, err := NewMessage(TypeServiceConfig, ServiceConfig{
+		Resolution: x.Resolution,
+		GPUSpeed:   x.GPUSpeed,
+		SplitLayer: x.SplitLayer,
+	})
 	if err != nil {
 		return core.KPIs{}, err
 	}
-	if _, err := e.d.svcClient.CallCtx(ctx, cfg); err != nil {
+	if _, err := e.d.svcClient.Call(ctx, cfg); err != nil {
 		return core.KPIs{}, fmt.Errorf("oran: service config: %w", err)
 	}
 	// Run the period and collect the service-side KPIs.
-	resp, err := e.d.svcClient.CallCtx(ctx, Message{Type: TypeServicePeriod})
+	resp, err := e.d.svcClient.Call(ctx, Message{Type: TypeServicePeriod})
 	if err != nil {
 		return core.KPIs{}, fmt.Errorf("oran: period: %w", err)
 	}
@@ -258,7 +264,7 @@ func (e *Environment) MeasureCtx(ctx context.Context, x core.Control) (core.KPIs
 		return core.KPIs{}, err
 	}
 	// Data-collector rApp ← O1 ← database xApp ← E2: vBS power.
-	kpi, err := e.d.NonRT.CollectBSPowerCtx(ctx)
+	kpi, err := e.d.NonRT.CollectBSPower(ctx)
 	if err != nil {
 		return core.KPIs{}, fmt.Errorf("oran: KPI collection: %w", err)
 	}

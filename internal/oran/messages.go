@@ -37,6 +37,9 @@ type ServiceConfig struct {
 	Resolution float64 `json:"resolution"`
 	// GPUSpeed is the normalized GPU power-limit policy in [0,1].
 	GPUSpeed float64 `json:"gpuSpeed"`
+	// SplitLayer is the device/edge DNN partition position in [0,1];
+	// 0 (all-edge inference) is left off the wire.
+	SplitLayer float64 `json:"splitLayer,omitempty"`
 }
 
 // PeriodReport is the service controller's response to a period trigger:

@@ -95,7 +95,7 @@ func TestConcurrentDeployments(t *testing.T) {
 	wg.Wait()
 
 	// Every goroutine the stacks spawned (accept loops, connection
-	// handlers, stream pumps, context watchers) must exit. Poll briefly:
+	// handlers, context watchers) must exit. Poll briefly:
 	// handler goroutines unwind asynchronously after Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

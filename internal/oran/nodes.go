@@ -119,14 +119,10 @@ type NearRTRIC struct {
 	store  policyStore
 }
 
-// NewNearRTRIC starts the near-RT RIC on addr, connected to the E2 node.
-func NewNearRTRIC(addr, e2Addr string, timeout time.Duration) (*NearRTRIC, error) {
-	return NewNearRTRICContext(context.Background(), addr, e2Addr, timeout)
-}
-
-// NewNearRTRICContext is NewNearRTRIC with the E2 dial bounded by ctx.
-func NewNearRTRICContext(ctx context.Context, addr, e2Addr string, timeout time.Duration) (*NearRTRIC, error) {
-	e2, err := DialContext(ctx, e2Addr, timeout)
+// NewNearRTRIC starts the near-RT RIC on addr, connected to the E2 node;
+// ctx bounds the E2 dial.
+func NewNearRTRIC(ctx context.Context, addr, e2Addr string, timeout time.Duration) (*NearRTRIC, error) {
+	e2, err := Dial(ctx, e2Addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("oran: near-RT RIC: %w", err)
 	}
@@ -174,20 +170,20 @@ func (r *NearRTRIC) handle(req Message) (Message, error) {
 		if err != nil {
 			return Message{}, err
 		}
-		if _, err := r.e2.Call(fwd); err != nil {
+		if _, err := r.e2.Call(context.Background(), fwd); err != nil {
 			return Message{}, err
 		}
 		r.store.put(p)
 		return NewMessage(TypeAck, Ack{OK: true})
 	case TypeO1Collect:
 		// Database xApp: pull the vBS KPI over E2 and forward it.
-		resp, err := r.e2.Call(Message{Type: TypeE2KPI})
+		resp, err := r.e2.Call(context.Background(), Message{Type: TypeE2KPI})
 		if err != nil {
 			return Message{}, err
 		}
 		return resp, nil
 	case TypeE2Context:
-		resp, err := r.e2.Call(Message{Type: TypeE2Context})
+		resp, err := r.e2.Call(context.Background(), Message{Type: TypeE2Context})
 		if err != nil {
 			return Message{}, err
 		}
@@ -201,18 +197,13 @@ func (r *NearRTRIC) handle(req Message) (Message, error) {
 // rApp (A1 client) and the data-collector rApp (O1 client). The learning
 // agent calls it in-process.
 type NonRTRIC struct {
-	a1       *Client
-	policyID int
+	a1 *Client
 }
 
-// NewNonRTRIC connects the non-RT RIC to a near-RT RIC endpoint.
-func NewNonRTRIC(nearRTAddr string, timeout time.Duration) (*NonRTRIC, error) {
-	return NewNonRTRICContext(context.Background(), nearRTAddr, timeout)
-}
-
-// NewNonRTRICContext is NewNonRTRIC with the A1 dial bounded by ctx.
-func NewNonRTRICContext(ctx context.Context, nearRTAddr string, timeout time.Duration) (*NonRTRIC, error) {
-	a1, err := DialContext(ctx, nearRTAddr, timeout)
+// NewNonRTRIC connects the non-RT RIC to a near-RT RIC endpoint; ctx
+// bounds the A1 dial.
+func NewNonRTRIC(ctx context.Context, nearRTAddr string, timeout time.Duration) (*NonRTRIC, error) {
+	a1, err := Dial(ctx, nearRTAddr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("oran: non-RT RIC: %w", err)
 	}
@@ -225,35 +216,28 @@ func (r *NonRTRIC) Close() error { return r.a1.Close() }
 // Instrument counts the rApps' A1/O1 requests and their latency.
 func (r *NonRTRIC) Instrument(reg *telemetry.Registry) { r.a1.Instrument(reg, "a1") }
 
-// ApplyRadioPolicy deploys the radio policies through the A1 Policy
-// Management Service.
-func (r *NonRTRIC) ApplyRadioPolicy(airtime, mcs float64) error {
-	return r.ApplyRadioPolicyCtx(context.Background(), airtime, mcs)
-}
+// RadioPolicyID names the one A1 policy instance the policy-service rApp
+// owns: every ApplyRadioPolicy updates it in place.
+const RadioPolicyID = "edgebol"
 
-// ApplyRadioPolicyCtx is ApplyRadioPolicy bounded by ctx.
-func (r *NonRTRIC) ApplyRadioPolicyCtx(ctx context.Context, airtime, mcs float64) error {
-	r.policyID++
+// ApplyRadioPolicy deploys the radio policies through the A1 Policy
+// Management Service as an update of the RadioPolicyID instance.
+func (r *NonRTRIC) ApplyRadioPolicy(ctx context.Context, airtime, mcs float64) error {
 	req, err := NewMessage(TypeA1PolicySetup, RadioPolicy{
-		PolicyID: fmt.Sprintf("edgebol-%d", r.policyID),
+		PolicyID: RadioPolicyID,
 		Airtime:  airtime,
 		MCS:      mcs,
 	})
 	if err != nil {
 		return err
 	}
-	_, err = r.a1.CallCtx(ctx, req)
+	_, err = r.a1.Call(ctx, req)
 	return err
 }
 
 // CollectBSPower pulls the latest vBS power reading over O1.
-func (r *NonRTRIC) CollectBSPower() (KPIReport, error) {
-	return r.CollectBSPowerCtx(context.Background())
-}
-
-// CollectBSPowerCtx is CollectBSPower bounded by ctx.
-func (r *NonRTRIC) CollectBSPowerCtx(ctx context.Context) (KPIReport, error) {
-	resp, err := r.a1.CallCtx(ctx, Message{Type: TypeO1Collect})
+func (r *NonRTRIC) CollectBSPower(ctx context.Context) (KPIReport, error) {
+	resp, err := r.a1.Call(ctx, Message{Type: TypeO1Collect})
 	if err != nil {
 		return KPIReport{}, err
 	}
@@ -265,13 +249,8 @@ func (r *NonRTRIC) CollectBSPowerCtx(ctx context.Context) (KPIReport, error) {
 }
 
 // CollectContext pulls the slice context.
-func (r *NonRTRIC) CollectContext() (ContextReport, error) {
-	return r.CollectContextCtx(context.Background())
-}
-
-// CollectContextCtx is CollectContext bounded by ctx.
-func (r *NonRTRIC) CollectContextCtx(ctx context.Context) (ContextReport, error) {
-	resp, err := r.a1.CallCtx(ctx, Message{Type: TypeE2Context})
+func (r *NonRTRIC) CollectContext(ctx context.Context) (ContextReport, error) {
+	resp, err := r.a1.Call(ctx, Message{Type: TypeE2Context})
 	if err != nil {
 		return ContextReport{}, err
 	}

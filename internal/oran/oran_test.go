@@ -82,13 +82,13 @@ func echoServer(t *testing.T) *Server {
 
 func TestClientServerCall(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr(), 2*time.Second)
+	c, err := Dial(context.Background(), s.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	req, _ := NewMessage("ping", Ack{OK: true})
-	resp, err := c.Call(req)
+	resp, err := c.Call(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(s.Addr(), 2*time.Second)
+			c, err := Dial(context.Background(), s.Addr(), 2*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -113,7 +113,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for j := 0; j < 50; j++ {
 				req, _ := NewMessage("ping", Ack{OK: true})
-				if _, err := c.Call(req); err != nil {
+				if _, err := c.Call(context.Background(), req); err != nil {
 					errs <- err
 					return
 				}
@@ -135,12 +135,12 @@ func TestServerHandlerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(s.Addr(), 2*time.Second)
+	c, err := Dial(context.Background(), s.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(Message{Type: "x"}); err == nil {
+	if _, err := c.Call(context.Background(), Message{Type: "x"}); err == nil {
 		t.Fatal("expected handler error to propagate")
 	}
 }
@@ -151,7 +151,7 @@ func (*timeoutError) Error() string { return "synthetic failure" }
 
 func TestClientReconnects(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr(), 2*time.Second)
+	c, err := Dial(context.Background(), s.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestClientReconnects(t *testing.T) {
 	// Break the connection under the client.
 	c.conn.Close()
 	req, _ := NewMessage("ping", Ack{OK: true})
-	if _, err := c.Call(req); err != nil {
+	if _, err := c.Call(context.Background(), req); err != nil {
 		t.Fatalf("client should redial once: %v", err)
 	}
 }
@@ -220,7 +220,8 @@ func TestDeploymentRoundTrip(t *testing.T) {
 
 // The control plane must be a pure transport: KPIs measured through the
 // full A1/E2/O1 round trip must equal a direct testbed measurement with
-// the same seed and the same sequence of controls.
+// the same seed and the same sequence of controls, split-inference
+// controls included.
 func TestDeploymentTransparent(t *testing.T) {
 	d, _ := newDeployment(t, 11)
 	direct, err := testbed.New(testbed.DefaultConfig(), []ran.User{{SNRdB: 35}}, 11)
@@ -232,6 +233,8 @@ func TestDeploymentTransparent(t *testing.T) {
 		{Resolution: 1, Airtime: 1, GPUSpeed: 1, MCS: 1},
 		{Resolution: 0.5, Airtime: 0.6, GPUSpeed: 0.3, MCS: 0.8},
 		{Resolution: 0.82, Airtime: 0.9, GPUSpeed: 0.7, MCS: 0.4},
+		{Resolution: 1, Airtime: 1, GPUSpeed: 1, MCS: 1, SplitLayer: 0.4},
+		{Resolution: 0.5, Airtime: 0.6, GPUSpeed: 0.3, MCS: 0.8, SplitLayer: 1},
 	}
 	for i, x := range controls {
 		got, err := env.Measure(x)

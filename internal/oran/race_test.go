@@ -1,6 +1,7 @@
 package oran
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -9,7 +10,7 @@ import (
 )
 
 // raceEnv is a concurrency-safe stub environment: the race regression
-// test hammers the transport/stream/dataplane layers, not the testbed.
+// test hammers the transport and data-plane layers, not the testbed.
 type raceEnv struct {
 	mu      sync.Mutex
 	periods int
@@ -33,24 +34,30 @@ func (e *raceEnv) Measure(x core.Control) (core.KPIs, error) {
 
 // TestRaceConcurrentPublishSubscribeShutdown is the -race regression for
 // the O-RAN concurrency surface: concurrent control periods (publishers),
-// in-process and network KPI subscribers joining and leaving, policy
-// mutators, and finally a shutdown racing in-flight indications. It has
-// no assertions beyond completing without deadlock — its job is to give
-// the race detector interleavings to chew on.
+// in-process KPI subscribers joining and leaving, policy mutators, TCP
+// callers driving periods through a service controller, and finally a
+// server shutdown racing in-flight calls. It has no assertions beyond
+// completing without deadlock — its job is to give the race detector
+// interleavings to chew on.
 func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 	dp, err := NewDataPlane(&raceEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewKPIStreamServer("127.0.0.1:0", dp)
+	svc, err := NewServiceController("127.0.0.1:0", dp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, err := NewMessage(TypeServiceConfig, ServiceConfig{Resolution: 0.5, GPUSpeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := Message{Type: TypeServicePeriod}
 
 	const (
 		publishers = 4
 		periods    = 25
-		netSubs    = 3
+		callers    = 3
 		localSubs  = 3
 		mutators   = 2
 	)
@@ -109,26 +116,23 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 		}()
 	}
 
-	// Network subscribers: full TCP subscribe/indicate/cancel round trips.
-	for s := 0; s < netSubs; s++ {
+	// TCP callers: configure and run periods over the custom interface.
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ch, cancel, err := SubscribeKPIs(srv.Addr(), 2*time.Second)
+			cl, err := Dial(context.Background(), svc.Addr(), 2*time.Second)
 			if err != nil {
-				// The server may already be closing under us; that
-				// interleaving is part of what the test exercises.
+				t.Errorf("Dial: %v", err)
 				return
 			}
-			defer cancel()
-			for i := 0; i < 5; i++ {
-				select {
-				case _, ok := <-ch:
-					if !ok {
+			defer cl.Close()
+			for i := 0; i < periods; i++ {
+				for _, req := range []Message{cfg, period} {
+					if _, err := cl.Call(context.Background(), req); err != nil {
+						t.Errorf("Call %s: %v", req.Type, err)
 						return
 					}
-				case <-time.After(2 * time.Second):
-					return
 				}
 			}
 		}()
@@ -136,9 +140,11 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 
 	wg.Wait()
 
-	// Shutdown racing one last burst of publishes and a late subscriber.
-	var tail sync.WaitGroup
-	tail.Add(2)
+	// Shutdown racing one last burst of publishes and callers with
+	// requests in flight: each caller answers ready after its first
+	// period, then keeps calling until the closed server refuses it.
+	var tail, ready sync.WaitGroup
+	tail.Add(1)
 	go func() {
 		defer tail.Done()
 		for i := 0; i < periods; i++ {
@@ -148,23 +154,37 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 			}
 		}
 	}()
-	go func() {
-		defer tail.Done()
-		if ch, cancel, err := SubscribeKPIs(srv.Addr(), 500*time.Millisecond); err == nil {
-			defer cancel()
-			select {
-			case <-ch:
-			case <-time.After(time.Second):
+	for c := 0; c < callers; c++ {
+		tail.Add(1)
+		ready.Add(1)
+		go func() {
+			defer tail.Done()
+			cl, err := Dial(context.Background(), svc.Addr(), 2*time.Second)
+			if err != nil {
+				ready.Done()
+				t.Errorf("Dial: %v", err)
+				return
 			}
-		}
-	}()
-	if err := srv.Close(); err != nil {
+			defer cl.Close()
+			for i := 0; ; i++ {
+				_, err := cl.Call(context.Background(), period)
+				if i == 0 {
+					ready.Done()
+				}
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	if err := svc.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
 	tail.Wait()
 
 	// Idempotent close must stay clean after everything settled.
-	if err := srv.Close(); err != nil {
+	if err := svc.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
 }

@@ -251,14 +251,10 @@ type Client struct {
 	met     clientMetrics
 }
 
-// Dial connects a client to addr with the given per-request timeout.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialContext(context.Background(), addr, timeout)
-}
-
-// DialContext connects like Dial but aborts the connection attempt when
-// ctx is canceled. The timeout still bounds every individual request.
-func DialContext(ctx context.Context, addr string, timeout time.Duration) (*Client, error) {
+// Dial connects a client to addr with the given per-request timeout,
+// aborting the connection attempt when ctx is canceled. The timeout still
+// bounds every individual request.
+func Dial(ctx context.Context, addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		return nil, fmt.Errorf("oran: non-positive timeout")
 	}
@@ -292,16 +288,11 @@ func (c *Client) Instrument(reg *telemetry.Registry, iface string) {
 }
 
 // Call sends a request and waits for the response. On a broken connection
-// it redials once before failing.
-func (c *Client) Call(req Message) (Message, error) {
-	return c.CallCtx(context.Background(), req)
-}
-
-// CallCtx is Call bounded by a context: cancellation aborts an in-flight
+// it redials once before failing. Cancellation of ctx aborts an in-flight
 // request by force-closing the connection (a partial frame would poison
 // the stream anyway; the next call redials), and no reconnect is
 // attempted once ctx is done.
-func (c *Client) CallCtx(ctx context.Context, req Message) (Message, error) {
+func (c *Client) Call(ctx context.Context, req Message) (Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
