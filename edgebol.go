@@ -179,8 +179,6 @@ type (
 	DDPG = bandit.DDPG
 	// DDPGOptions configure the baseline.
 	DDPGOptions = bandit.DDPGOptions
-	// BenchmarkPolicy is the common select/observe interface of baselines.
-	BenchmarkPolicy = bandit.Policy
 )
 
 // NewDDPG builds the DDPG baseline.

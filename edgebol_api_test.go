@@ -91,7 +91,6 @@ func TestFacadeDDPG(t *testing.T) {
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var _ BenchmarkPolicy = d
 }
 
 func TestFacadeORANDeployment(t *testing.T) {

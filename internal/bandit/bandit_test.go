@@ -83,63 +83,6 @@ func TestOracleInfeasible(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyCoversGrid(t *testing.T) {
-	r, err := NewRandom(benchGrid(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[core.Control]bool)
-	for i := 0; i < 5000; i++ {
-		seen[r.Select(core.Context{})] = true
-	}
-	if len(seen) < benchGrid().Size()/2 {
-		t.Fatalf("random policy only visited %d/%d controls", len(seen), benchGrid().Size())
-	}
-}
-
-func TestEpsilonGreedyImproves(t *testing.T) {
-	env := &linEnv{ctx: core.Context{NumUsers: 1, MeanCQI: 15}, noise: rand.New(rand.NewSource(2))}
-	eg, err := NewEpsilonGreedy(benchGrid(), benchWeights, benchCons, 1.0, 0.99, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ks, err := Run(eg, env, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := func(ks []core.KPIs) float64 {
-		var s float64
-		for _, k := range ks {
-			s += benchWeights.Cost(k)
-		}
-		return s / float64(len(ks))
-	}
-	early := mean(ks[:100])
-	late := mean(ks[500:])
-	if late >= early {
-		t.Fatalf("ε-greedy did not improve: early %v late %v", early, late)
-	}
-}
-
-func TestEpsilonGreedyValidation(t *testing.T) {
-	if _, err := NewEpsilonGreedy(benchGrid(), benchWeights, benchCons, -0.1, 0.9, 1); err == nil {
-		t.Fatal("expected error for negative epsilon")
-	}
-	if _, err := NewEpsilonGreedy(benchGrid(), benchWeights, benchCons, 0.5, 0, 1); err == nil {
-		t.Fatal("expected error for zero decay")
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	r, err := NewRandom(benchGrid(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(r, &linEnv{}, 0); err == nil {
-		t.Fatal("expected error for zero periods")
-	}
-}
-
 func TestDDPGOptionsValidation(t *testing.T) {
 	bad := []DDPGOptions{
 		{},
@@ -215,9 +158,16 @@ func TestDDPGLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ks, err := Run(d, env, 800)
-	if err != nil {
-		t.Fatal(err)
+	ks := make([]core.KPIs, 0, 800)
+	for i := 0; i < 800; i++ {
+		ctx := env.Context()
+		x := d.Select(ctx)
+		k, err := env.Measure(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Observe(ctx, x, k)
+		ks = append(ks, k)
 	}
 	ddpgCost := func(k core.KPIs) float64 {
 		if !benchCons.Satisfied(k) {

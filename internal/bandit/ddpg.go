@@ -179,8 +179,8 @@ func (d *DDPG) actionToControl(a []float64) core.Control {
 	})
 }
 
-// Select implements Policy: actor output plus decaying Gaussian
-// exploration noise, snapped to the grid.
+// Select returns the control for ctx: actor output plus decaying
+// Gaussian exploration noise, snapped to the grid.
 func (d *DDPG) Select(ctx core.Context) core.Control {
 	out := d.actor.Forward(core.ContextFeatures(ctx))
 	a := make([]float64, len(out))
@@ -193,8 +193,8 @@ func (d *DDPG) Select(ctx core.Context) core.Control {
 	return d.actionToControl(a)
 }
 
-// Observe implements Policy: store the transition and run minibatch
-// updates of critic and actor.
+// Observe feeds back the KPIs measured for (ctx, x): store the
+// transition and run minibatch updates of critic and actor.
 func (d *DDPG) Observe(ctx core.Context, x core.Control, k core.KPIs) {
 	cost := d.opts.Weights.Cost(k)
 	if !d.opts.Constraints.Satisfied(k) {
@@ -275,5 +275,3 @@ func clamp01(v float64) float64 {
 	}
 	return v
 }
-
-var _ Policy = (*DDPG)(nil)

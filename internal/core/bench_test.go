@@ -79,7 +79,7 @@ func BenchmarkSelectControl(b *testing.B) {
 		})
 	}
 	for _, t := range []int{1000, 5000, 10000} {
-		// t=1000 stays in short mode so bench-check gates the sparse
+		// t=1000 stays in short mode so the short run covers the sparse
 		// engine too; the longer horizons are full-run only.
 		if testing.Short() && t > 1000 {
 			continue

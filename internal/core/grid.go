@@ -66,7 +66,9 @@ func (g GridSpec) dimLow(d int) float64 {
 	return 0
 }
 
-// Validate reports whether the spec is usable.
+// Validate reports whether the spec is usable. The acquisition engine
+// and gp.SweepSubset hold grid indices as int32, so a grid may have at
+// most math.MaxInt32 controls.
 func (g GridSpec) Validate() error {
 	if g.Levels < 2 {
 		return fmt.Errorf("core: grid needs at least 2 levels, got %d", g.Levels)
@@ -81,6 +83,14 @@ func (g GridSpec) Validate() error {
 		if n < 0 {
 			return fmt.Errorf("core: LevelsPerDim[%d] = %d is negative", d, n)
 		}
+	}
+	size := 1
+	for d := 0; d < ControlDims; d++ {
+		n := g.dimLevels(d)
+		if size > math.MaxInt32/n {
+			return fmt.Errorf("core: grid has more than %d controls", math.MaxInt32)
+		}
+		size *= n
 	}
 	return nil
 }

@@ -21,8 +21,8 @@ func posteriorsBitwiseEqual(a, b Posterior) bool {
 // TestAgentSweepPlanMatchesGeneric pins the agent-level contract of the grid
 // sweep engine: every period, the posteriors the selection acts on — the
 // acquisition's per-slot buffers, where full coverage makes slot == grid
-// index — equal the generic gp.PosteriorBatch over the enumerated grid's
-// feature rows bitwise, for every objective the agent sweeps, across worker
+// index — equal the generic gp.Posterior at the enumerated grid's feature
+// rows bitwise, for every objective the agent sweeps, across worker
 // counts, cost decomposition, and sliding-window evictions.
 func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 	cases := []struct {
@@ -58,15 +58,13 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 				t.Fatal(err)
 			}
 			feats := make([][]float64, len(grid))
-			refMu := make([]float64, len(grid))
-			refSigma := make([]float64, len(grid))
 			requireGeneric := func(step int, name string, g *gp.GP, mu, sigma []float64) {
 				t.Helper()
-				g.PosteriorBatch(feats, refMu, refSigma, gp.BatchOptions{Workers: tc.workers})
-				for i := range grid {
-					if !sameBits(mu[i], refMu[i]) || !sameBits(sigma[i], refSigma[i]) {
-						t.Fatalf("step %d, %s GP, grid point %d: plan (%x, %x), generic (%x, %x)",
-							step, name, i, mu[i], sigma[i], refMu[i], refSigma[i])
+				for i, f := range feats {
+					refMu, refSigma := g.Posterior(f)
+					if !sameBits(mu[i], refMu) || !sameBits(sigma[i], refSigma) {
+						t.Fatalf("step %d, %s GP, grid point %d: plan (%x, %x), Posterior (%x, %x)",
+							step, name, i, mu[i], sigma[i], refMu, refSigma)
 					}
 				}
 			}

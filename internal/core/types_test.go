@@ -167,16 +167,35 @@ func TestGridSpec(t *testing.T) {
 }
 
 func TestGridSpecValidate(t *testing.T) {
+	// Grid indices are int32: 2³¹ controls is one too many, and the
+	// product 2⁸⁰ wraps int to 0.
+	unindexable := GridSpec{Levels: 11, MinResolution: 0.1, MinAirtime: 0.1,
+		LevelsPerDim: [ControlDims]int{1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 16}}
 	bad := []GridSpec{
 		{Levels: 1, MinResolution: 0.1, MinAirtime: 0.1},
 		{Levels: 5, MinResolution: 0, MinAirtime: 0.1},
 		{Levels: 5, MinResolution: 1, MinAirtime: 0.1},
 		{Levels: 5, MinResolution: 0.1, MinAirtime: 0},
+		{Levels: 11, MinResolution: 0.1, MinAirtime: 0.1,
+			LevelsPerDim: [ControlDims]int{1 << 11, 1 << 10, 1 << 10, 1, 1}},
+		unindexable,
 	}
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("expected error for %+v", g)
 		}
+	}
+	big := GridSpec{Levels: 31, MinResolution: 0.1, MinAirtime: 0.1,
+		LevelsPerDim: [ControlDims]int{31, 31, 31, 31, 8}}
+	if err := big.Validate(); err != nil {
+		t.Fatalf("31⁴×8 grid rejected: %v", err)
+	}
+	if _, err := NewAgent(Options{
+		Grid:        unindexable,
+		Weights:     CostWeights{Delta1: 1, Delta2: 1},
+		Constraints: Constraints{MaxDelay: 0.5, MinMAP: 0.4},
+	}); err == nil {
+		t.Fatal("NewAgent accepted a grid of 2⁸⁰ controls")
 	}
 }
 

@@ -35,77 +35,45 @@ func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestPosteriorBatchWorkersBitwiseIdentical pins the engine's central
-// determinism contract: the posterior over a candidate set is bitwise
-// independent of the worker count, across edge cases from empty candidate
-// sets to post-eviction states.
-func TestPosteriorBatchWorkersBitwiseIdentical(t *testing.T) {
-	cases := []struct {
-		name       string
-		obs        int
-		window     int
-		candidates int
-	}{
-		{name: "empty candidates", obs: 12, window: 0, candidates: 0},
-		{name: "no observations", obs: 0, window: 0, candidates: 17},
-		{name: "single observation", obs: 1, window: 0, candidates: 33},
-		{name: "post-eviction", obs: 20, window: 8, candidates: 41},
-		{name: "many observations", obs: 60, window: 0, candidates: 101},
-		{name: "fewer candidates than a block", obs: 10, window: 0, candidates: 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := engineGP(t, tc.obs, tc.window)
-			cands := engineCandidates(tc.candidates)
-			ref := struct{ mu, sigma []float64 }{
-				make([]float64, len(cands)), make([]float64, len(cands)),
-			}
-			g.PosteriorBatch(cands, ref.mu, ref.sigma, BatchOptions{Workers: 1})
-			for _, workers := range []int{0, 2, 3, 8} {
-				mu := make([]float64, len(cands))
-				sigma := make([]float64, len(cands))
-				g.PosteriorBatch(cands, mu, sigma, BatchOptions{Workers: workers})
-				for i := range cands {
-					if !bitsEqual(mu[i], ref.mu[i]) || !bitsEqual(sigma[i], ref.sigma[i]) {
-						t.Fatalf("workers=%d diverges at %d: (%v,%v) vs serial (%v,%v)",
-							workers, i, mu[i], sigma[i], ref.mu[i], ref.sigma[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentPosteriorReads exercises the read path from many goroutines
-// at once — the data-race check (run under -race in CI) that the posterior
-// sweep holds no shared mutable state, and a correctness check that
-// concurrent callers see the same answers as a serial one.
+// TestConcurrentPosteriorReads exercises the read paths from many
+// goroutines at once — the data-race check (run under -race in CI) that
+// sweeps and single queries hold no shared mutable state in the GP, and a
+// correctness check that concurrent callers see the same answers as a
+// serial one. Each sweeping goroutine owns its plan: a plan's tables are
+// per-plan state, the GP underneath is shared.
 func TestConcurrentPosteriorReads(t *testing.T) {
 	g := engineGP(t, 30, 0)
-	cands := engineCandidates(64)
-	refMu := make([]float64, len(cands))
-	refSigma := make([]float64, len(cands))
-	g.PosteriorBatch(cands, refMu, refSigma, BatchOptions{Workers: 1})
+	levels := sweepLevels([]int{8, 8})
+	feats := enumerateGrid(nil, levels)
+	refMu, refSigma := posteriors(g, feats)
 
 	const goroutines = 8
+	plans := make([]*SweepPlan, goroutines)
+	for w := 0; w < goroutines; w += 2 {
+		p, err := NewSweepPlan(g, 0, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[w] = p
+	}
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if w%2 == 0 {
-				mu := make([]float64, len(cands))
-				sigma := make([]float64, len(cands))
-				g.PosteriorBatch(cands, mu, sigma, BatchOptions{Workers: 1 + w%3})
-				for i := range cands {
+			if p := plans[w]; p != nil {
+				mu := make([]float64, len(feats))
+				sigma := make([]float64, len(feats))
+				p.SweepSubset(nil, allIndices(p), mu, sigma, 1+w%3)
+				for i := range feats {
 					if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
-						errs <- "concurrent batch read diverged from serial reference"
+						errs <- "concurrent sweep diverged from serial reference"
 						return
 					}
 				}
 			} else {
-				for i, c := range cands {
+				for i, c := range feats {
 					mu, sigma := g.Posterior(c)
 					if !bitsEqual(mu, refMu[i]) || !bitsEqual(sigma, refSigma[i]) {
 						errs <- "concurrent single read diverged from serial reference"

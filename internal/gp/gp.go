@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/telemetry"
@@ -32,11 +30,12 @@ import (
 //     by design (history stays retained for basis insertions and
 //     checkpointing; it is O(t·d) memory with no per-period cost).
 //
-// Training inputs are stored in one flat row-major matrix so the batched
-// posterior sweep streams them cache-linearly through Kernel.EvalBatch.
+// Training inputs are stored in one flat row-major matrix so kernel rows
+// (Kernel.EvalBatch) and the sweep plan's distance tables stream them
+// cache-linearly.
 //
 // Concurrency: mutating calls (Add, RestoreFrom) must not run concurrently
-// with anything else, but the read paths — Posterior, PosteriorBatch,
+// with anything else, but the read paths — Posterior,
 // LogMarginalLikelihood, Snapshot — touch no shared mutable state and are
 // safe to call from multiple goroutines between mutations.
 //
@@ -307,8 +306,8 @@ func (g *GP) refreshAlpha() {
 
 // Posterior returns the posterior mean and standard deviation at x
 // (paper eq. 3–4). With no observations it returns the prior (0, √k(x,x)).
-// It shares the exact arithmetic of the batched path, so single and batch
-// queries agree bitwise.
+// It is the reference the grid sweep is tested against:
+// SweepPlan.SweepSubset reproduces it bit for bit on both engines.
 func (g *GP) Posterior(x []float64) (mu, sigma float64) {
 	if len(x) != g.dim {
 		panic(fmt.Sprintf("gp: input dimension %d does not match kernel dimension %d", len(x), g.dim))
@@ -379,139 +378,6 @@ func ResolveWorkers(trainLen, candidates, requested int) int {
 		requested = maxShards
 	}
 	return requested
-}
-
-// BatchOptions configure one batched posterior sweep. The zero value is
-// the default: work-scaled parallelism.
-type BatchOptions struct {
-	// Workers is the explicit degree of parallelism: candidates are split
-	// into contiguous tile-aligned shards evaluated by this many
-	// goroutines, each with its own scratch buffers (the read path holds
-	// no shared mutable state, so sharding is race-free by construction).
-	// Workers <= 0 scales the count with the total work (see
-	// ResolveWorkers); Workers == 1 runs serially on the calling
-	// goroutine. Every candidate's arithmetic is independent of the
-	// sharding, so results are bitwise identical for every setting.
-	Workers int
-}
-
-// PosteriorBatch evaluates the posterior over a candidate set, writing the
-// results into mu and sigma (each of length len(candidates)). It is the hot
-// path of EdgeBOL's per-period safe-set and acquisition computation; opts
-// controls the sharding (the zero BatchOptions selects work-scaled
-// parallelism) and never affects the results.
-func (g *GP) PosteriorBatch(candidates [][]float64, mu, sigma []float64, opts BatchOptions) {
-	workers := opts.Workers
-	if len(mu) != len(candidates) || len(sigma) != len(candidates) {
-		panic("gp: PosteriorBatch output length mismatch")
-	}
-	// Sweep timing is gated on the handle so a nil registry adds exactly
-	// one nil check to the hot path (the zero-overhead-when-disabled
-	// contract the inference benchmarks hold the package to).
-	if g.met.sweep != nil {
-		start := time.Now()
-		defer func() { g.met.sweep.ObserveDuration(time.Since(start)) }()
-	}
-	n := g.basisLen()
-	if n == 0 {
-		prior := math.Sqrt(g.kernel.Prior())
-		for i := range candidates {
-			mu[i] = 0
-			sigma[i] = prior
-		}
-		return
-	}
-	workers = ResolveWorkers(n, len(candidates), workers)
-	if workers <= 1 {
-		g.posteriorRange(candidates, mu, sigma)
-		return
-	}
-	// Tile-aligned contiguous shards keep every worker's inner loop on
-	// full tiles (alignment affects speed only, never results).
-	chunk := (len(candidates) + workers - 1) / workers
-	chunk = (chunk + sweepTile - 1) / sweepTile * sweepTile
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(candidates); lo += chunk {
-		hi := lo + chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			g.posteriorRange(candidates[lo:hi], mu[lo:hi], sigma[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// posteriorRange evaluates one shard of candidates serially, advancing
-// sweepTile candidates per pass through linalg's fused tiled solve (mean
-// dot product and squared solve norm folded into the panel passes). The
-// scratch buffers are local to the call: read-path inference shares no
-// mutable state.
-//
-// Under the sparse engine each tile runs the fused solve twice against
-// the two m-sized factors — Σ (mean and explained-variance term) and K_mm
-// (Nyström term) — which is why the whole sweep is O(m²) per candidate
-// regardless of the training size. The exact branch is untouched: its
-// arithmetic is bit-for-bit the pre-sparse code.
-//
-//edgebol:hot
-func (g *GP) posteriorRange(candidates [][]float64, mu, sigma []float64) {
-	n := g.basisLen()
-	bxs := g.basisXs()
-	prior := g.kernel.Prior()
-	tile := len(candidates)
-	if tile > sweepTile {
-		tile = sweepTile
-	}
-	buf := make([]float64, tile*n)
-	views := make([][]float64, tile)
-	for b := range views {
-		views[b] = buf[b*n : (b+1)*n]
-	}
-	var buf2 []float64
-	var views2 [][]float64
-	if g.sp != nil {
-		buf2 = make([]float64, tile*n)
-		views2 = make([][]float64, tile)
-		for b := range views2 {
-			views2[b] = buf2[b*n : (b+1)*n]
-		}
-	}
-	var solver linalg.FusedSolver
-	var vsq, vsqNy, muNy [sweepTile]float64
-	for lo := 0; lo < len(candidates); lo += tile {
-		m := len(candidates) - lo
-		if m > tile {
-			m = tile
-		}
-		for b := 0; b < m; b++ {
-			g.kernel.EvalBatch(bxs, g.dim, candidates[lo+b], views[b])
-		}
-		if g.sp != nil {
-			copy(buf2, buf)
-			solver.SolveFused(g.sp.cholSig, views[:m], g.sp.alpha, mu[lo:lo+m], vsq[:m])
-			solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:n], muNy[:m], vsqNy[:m])
-			for b := 0; b < m; b++ {
-				v := prior - vsqNy[b] + vsq[b]
-				if v < 0 {
-					v = 0
-				}
-				sigma[lo+b] = math.Sqrt(v)
-			}
-			continue
-		}
-		solver.SolveFused(g.chol, views[:m], g.alpha, mu[lo:lo+m], vsq[:m])
-		for b := 0; b < m; b++ {
-			v := prior - vsq[b]
-			if v < 0 {
-				v = 0
-			}
-			sigma[lo+b] = math.Sqrt(v)
-		}
-	}
 }
 
 // LogMarginalLikelihood returns the log evidence of the retained

@@ -95,51 +95,6 @@ func TestAddCopiesInput(t *testing.T) {
 	}
 }
 
-func TestPosteriorBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := New(NewMatern32([]float64{0.4, 0.8}), 1e-3, 0)
-	for i := 0; i < 25; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		if err := g.Add(x, math.Sin(3*x[0])+x[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cands := make([][]float64, 40)
-	for i := range cands {
-		cands[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	mu := make([]float64, len(cands))
-	sigma := make([]float64, len(cands))
-	g.PosteriorBatch(cands, mu, sigma, BatchOptions{})
-	for i, c := range cands {
-		m, s := g.Posterior(c)
-		if math.Abs(m-mu[i]) > 1e-10 || math.Abs(s-sigma[i]) > 1e-10 {
-			t.Fatalf("batch/single mismatch at %d: (%v,%v) vs (%v,%v)", i, mu[i], sigma[i], m, s)
-		}
-	}
-}
-
-func TestPosteriorBatchEmptyGP(t *testing.T) {
-	g := newTestGP()
-	cands := [][]float64{{0.1}, {0.9}}
-	mu := make([]float64, 2)
-	sigma := make([]float64, 2)
-	g.PosteriorBatch(cands, mu, sigma, BatchOptions{})
-	if mu[0] != 0 || math.Abs(sigma[0]-1) > 1e-12 {
-		t.Fatalf("empty-GP batch should return prior, got (%v,%v)", mu[0], sigma[0])
-	}
-}
-
-func TestPosteriorBatchLengthMismatchPanics(t *testing.T) {
-	g := newTestGP()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on output length mismatch")
-		}
-	}()
-	g.PosteriorBatch([][]float64{{0}}, make([]float64, 2), make([]float64, 1), BatchOptions{})
-}
-
 func TestSlidingWindowEviction(t *testing.T) {
 	g := New(NewMatern32([]float64{0.5}), 1e-4, 10)
 	for i := 0; i < 25; i++ {

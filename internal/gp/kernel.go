@@ -1,9 +1,9 @@
 // Package gp implements Gaussian-process regression as used by EdgeBOL
 // (Ayala-Romero et al., CoNEXT '21, §5): anisotropic stationary kernels over
 // the joint context–control space, closed-form posteriors with i.i.d.
-// Gaussian observation noise (paper eq. 3–4), batched posterior evaluation
-// over candidate control sets, and log-marginal-likelihood hyperparameter
-// fitting on prior data.
+// Gaussian observation noise (paper eq. 3–4), batched posterior sweeps
+// over grids of candidate controls (SweepPlan), and
+// log-marginal-likelihood hyperparameter fitting on prior data.
 package gp
 
 import (

@@ -42,43 +42,3 @@ func TestKernelGramMatricesPSD(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: the posterior survives eviction cycles — batch and single
-// evaluations stay consistent after the sliding window has triggered
-// multiple rebuilds.
-func TestPosteriorBatchConsistentAfterEvictions(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := New(NewMatern32([]float64{0.5, 0.7}), 1e-3, 8)
-		for i := 0; i < 30; i++ {
-			if err := g.Add([]float64{rng.Float64(), rng.Float64()}, rng.NormFloat64()); err != nil {
-				return false
-			}
-		}
-		cands := [][]float64{
-			{rng.Float64(), rng.Float64()},
-			{rng.Float64(), rng.Float64()},
-			{rng.Float64(), rng.Float64()},
-		}
-		mu := make([]float64, len(cands))
-		sigma := make([]float64, len(cands))
-		g.PosteriorBatch(cands, mu, sigma, BatchOptions{})
-		for i, c := range cands {
-			m, s := g.Posterior(c)
-			if diff(m, mu[i]) > 1e-9 || diff(s, sigma[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func diff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}

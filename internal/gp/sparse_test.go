@@ -277,41 +277,10 @@ func TestConvertToSparseMatchesFreshSparse(t *testing.T) {
 	}
 }
 
-// TestSparsePosteriorBatchBitwise: the fused-panel batch path must be
-// bitwise identical to the scalar Posterior path for every worker count —
-// the same contract the exact engine pins.
-func TestSparsePosteriorBatchBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 300; i++ {
-		xs = append(xs, []float64{rng.Float64() * 1.2, rng.Float64() * 1.2})
-		ys = append(ys, rng.NormFloat64())
-	}
-	_, g := sparsePair(t, SparseConfig{MaxInducing: 48}, xs, ys)
-	cands := engineCandidates(137) // odd count exercises partial tiles
-	refMu := make([]float64, len(cands))
-	refSigma := make([]float64, len(cands))
-	for i, c := range cands {
-		refMu[i], refSigma[i] = g.Posterior(c)
-	}
-	for _, workers := range []int{1, 0, 2, 5} {
-		mu := make([]float64, len(cands))
-		sigma := make([]float64, len(cands))
-		g.PosteriorBatch(cands, mu, sigma, BatchOptions{Workers: workers})
-		for i := range cands {
-			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
-				t.Fatalf("workers=%d candidate %d: batch (%v,%v) vs scalar (%v,%v)",
-					workers, i, mu[i], sigma[i], refMu[i], refSigma[i])
-			}
-		}
-	}
-}
-
-// TestSparseSweepPlanMatchesGeneric extends the tentpole bitwise contract
+// TestSparseSweepPlanMatchesGeneric extends the plan's bitwise contract
 // to the sparse engine: the plan sweeps over the inducing basis and must
-// reproduce the generic batched posterior exactly, across growth (basis
-// inserts append plan rows) and worker counts.
+// reproduce Posterior exactly, across growth (basis inserts append plan
+// rows) and worker counts.
 func TestSparseSweepPlanMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	dims := 2 + 2
@@ -475,13 +444,5 @@ func TestSparseEmptyAndPriorBehaviour(t *testing.T) {
 	}
 	if lml := g.LogMarginalLikelihood(); lml != 0 {
 		t.Fatalf("empty evidence %v, want 0", lml)
-	}
-	mu := make([]float64, 3)
-	sigma := make([]float64, 3)
-	g.PosteriorBatch(engineCandidates(3), mu, sigma, BatchOptions{})
-	for i := range mu {
-		if mu[i] != 0 || sigma[i] != 1 {
-			t.Fatalf("prior batch posterior %d: (%v, %v)", i, mu[i], sigma[i])
-		}
 	}
 }

@@ -34,12 +34,13 @@ import (
 // swap replaces a basis row in place); a hyperparameter refit constructs
 // a new GP and therefore a new plan.
 //
-// Bitwise contract: SweepSubset reproduces PosteriorBatch over the
-// listed grid points bit for bit, for every worker count. The
-// per-dimension terms are accumulated in the same two even/odd chains, in
-// the same order, as the kernel's scaledSqDistInv — the context dimensions
-// come first, so the per-period context partials are valid prefixes of
-// both chains — and the solve path is the same fused tiled solve.
+// Bitwise contract: SweepSubset reproduces Posterior at the listed grid
+// points bit for bit, for every worker count. The per-dimension terms are
+// accumulated in the same two even/odd chains, in the same order, as the
+// kernel's scaledSqDistInv — the context dimensions come first, so the
+// per-period context partials are valid prefixes of both chains — and the
+// fused tiled solve gives every column the operation sequence of
+// Posterior's forward solve and dot products.
 //
 // Concurrency: like the GP read path, SweepSubset must not run
 // concurrently with Add or with another sweep on the same plan (it
@@ -255,12 +256,15 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 // SweepSubset evaluates the GP posterior at the grid points whose flat
 // indices are listed in idxs (each in [0, GridSize()), enumeration order),
 // writing into mu and sigma (each of length len(idxs), parallel to idxs).
-// workers follows the semantics of PosteriorBatch. Output j equals
-// PosteriorBatch at the features of grid index idxs[j] bitwise, for every
-// worker count and any subset composition: the per-column math is
-// independent of how columns are tiled and sharded. A full sweep passes
-// every index in order; the acquisition's budgeted mode passes a few
-// percent of them, and a period costs O(len(idxs)).
+// workers is the degree of parallelism: the list is split into contiguous
+// tile-aligned shards, one goroutine each with its own scratch; workers <= 0
+// scales the count with the work (see ResolveWorkers) and 1 runs serially
+// on the calling goroutine. Output j equals Posterior at the features of
+// grid index idxs[j] bitwise, for every worker count and any subset
+// composition: the per-column math is independent of how columns are tiled
+// and sharded. A full sweep passes every index in order; the acquisition's
+// budgeted mode passes a few percent of them, and a period costs
+// O(len(idxs)).
 func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64, workers int) {
 	if len(ctx) != p.ctxDims {
 		panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
@@ -310,11 +314,11 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64
 // sweepSubsetRange evaluates positions [lo, hi) of idxs, writing results
 // at the same positions of mu and sigma: per candidate, assemble the
 // cross-covariance column from the distance tables and context partials,
-// then run tiles of sweepTile columns through the fused solve — the same
-// tiling as posteriorRange, so shard boundaries never change results.
-// Sparse engine: the assembled columns are cross-covariances to the
-// inducing basis and each tile solves against both m-sized factors, the
-// same dual-solve shape as posteriorRange.
+// then run tiles of sweepTile columns through the fused solve; a column's
+// arithmetic does not depend on its tile, so shard boundaries never change
+// results. Sparse engine: the assembled columns are cross-covariances to
+// the inducing basis and each tile solves against both m-sized factors,
+// the two solves of Posterior's sparse branch.
 //
 //edgebol:hot
 func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma []float64) {

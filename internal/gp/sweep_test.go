@@ -41,6 +41,17 @@ func enumerateGrid(ctx []float64, levels [][]float64) [][]float64 {
 	return rows
 }
 
+// posteriors evaluates Posterior at every feature row: the reference
+// every sweep test compares against bitwise.
+func posteriors(g *GP, feats [][]float64) (mu, sigma []float64) {
+	mu = make([]float64, len(feats))
+	sigma = make([]float64, len(feats))
+	for i, x := range feats {
+		mu[i], sigma[i] = g.Posterior(x)
+	}
+	return mu, sigma
+}
+
 // sweepTestGP builds a GP over ctxDims+ctrlDims features with n random
 // observations (inputs need not lie on the grid).
 func sweepTestGP(t *testing.T, kernel func([]float64) Kernel, ctxDims, ctrlDims, n, window int, seed int64) *GP {
@@ -80,16 +91,14 @@ func allIndices(p *SweepPlan) []int32 {
 }
 
 // requireSweepMatches asserts that the plan's full-grid sweep reproduces
-// the generic engine bitwise under every worker count.
+// Posterior bitwise under every worker count.
 func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, levels [][]float64) {
 	t.Helper()
 	feats := enumerateGrid(ctx, levels)
 	if len(feats) != p.GridSize() {
 		t.Fatalf("enumerated %d rows, plan grid size %d", len(feats), p.GridSize())
 	}
-	refMu := make([]float64, len(feats))
-	refSigma := make([]float64, len(feats))
-	g.PosteriorBatch(feats, refMu, refSigma, BatchOptions{Workers: 1})
+	refMu, refSigma := posteriors(g, feats)
 	idxs := allIndices(p)
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
@@ -97,17 +106,17 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 		p.SweepSubset(ctx, idxs, mu, sigma, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
-				t.Fatalf("workers=%d grid point %d: plan (%x, %x), generic (%x, %x)",
+				t.Fatalf("workers=%d grid point %d: plan (%x, %x), Posterior (%x, %x)",
 					workers, i, mu[i], sigma[i], refMu[i], refSigma[i])
 			}
 		}
 	}
 }
 
-// TestSweepPlanMatchesGeneric pins the tentpole contract: across kernels,
+// TestSweepPlanMatchesGeneric pins the plan's contract: across kernels,
 // grid shapes, observation appends, and sliding-window evictions, the
-// plan's grid sweep is bitwise identical to the generic posterior path
-// for every worker count.
+// plan's grid sweep is bitwise identical to the generic Posterior for
+// every worker count.
 func TestSweepPlanMatchesGeneric(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -164,7 +173,7 @@ func TestSweepPlanMatchesGeneric(t *testing.T) {
 }
 
 // TestSweepPlanAcrossRefit mirrors a hyperparameter refit: a new kernel
-// means a new GP and a new plan, which must again match the generic path.
+// means a new GP and a new plan, which must again match Posterior.
 func TestSweepPlanAcrossRefit(t *testing.T) {
 	levels := sweepLevels([]int{4, 3, 4})
 	ctx := []float64{0.3, 0.6, 0.1}
@@ -179,7 +188,7 @@ func TestSweepPlanAcrossRefit(t *testing.T) {
 }
 
 // TestSweepPlanEmptyGP sweeps before any observation: prior mean and
-// variance everywhere, like the generic path.
+// variance everywhere, like Posterior.
 func TestSweepPlanEmptyGP(t *testing.T) {
 	g := New(NewMatern32([]float64{0.5, 0.5, 0.5}), 1e-3, 0)
 	levels := sweepLevels([]int{3, 4})
