@@ -46,25 +46,28 @@ check: build fmt-check lint test race sparse-equiv acq-equiv metrics-smoke ckpt-
 
 # sparse-equiv runs the sparse-vs-exact equivalence suite on its own:
 # posterior error bounds against the exact oracle, bitwise sweep-plan
-# agreement with Posterior, auto-switch/convert equivalence, checkpoint
-# round-trips, and the selection-regret replay gate. The tests also run
-# under `test`; the dedicated target exists so CI names a sparse-accuracy
-# regression instead of burying it in the full suite.
+# agreement with Posterior, checkpoint round-trips, the selection-regret
+# replay gate, and the long-horizon run on the sparse engine. The tests
+# also run under `test`; the dedicated target exists so CI names a
+# sparse-accuracy regression instead of burying it in the full suite.
+# scripts/test_gate.sh fails a gate when a member of its -run pattern
+# matches no test, so a renamed test cannot leave the gate silently.
 sparse-equiv:
-	$(GO) test -count=1 -run 'TestSparse|TestConvertToSparse' ./internal/gp
-	$(GO) test -count=1 -run 'TestSparse|TestAutoSwitch|TestEngine|TestCheckpointRestoreEquivalence|TestReadCheckpointInfoReportsEngine' ./internal/core
-	$(GO) test -count=1 -run 'TestLongHorizon' ./internal/experiment
+	sh scripts/test_gate.sh ./internal/gp 'TestSparse'
+	sh scripts/test_gate.sh ./internal/core 'TestSparse|TestEngine|TestCheckpointRestoreEquivalence|TestReadCheckpointInfoReportsEngine'
+	sh scripts/test_gate.sh ./internal/experiment 'TestLongHorizon'
 
 # acq-equiv runs the acquisition equivalence suite: bitwise
 # SweepSubset-vs-Posterior agreement, SelectControl against a
-# brute-force scan of the selection rule written in test code, the
-# exhaustive-vs-adaptive twin-agent exactness contract on small
-# (randomized, non-uniform, split-carrying) grids, bounded regret within
-# the evaluation budget on grids above the auto threshold, grid
-# index-algebra properties, and the adaptive checkpoint round-trip.
+# brute-force scan of the selection rule written in test code (uniform,
+# split-carrying and non-uniform grids, serial and sharded sweeps),
+# bounded regret within the evaluation budget on grids above the auto
+# threshold, grid index-algebra properties, the auto-mode resolution, and
+# the adaptive checkpoint round-trip. It runs through scripts/test_gate.sh
+# like sparse-equiv.
 acq-equiv:
-	$(GO) test -count=1 -run 'TestSweepSubset' ./internal/gp
-	$(GO) test -count=1 -run 'TestSelectControlMatchesBruteForce|TestGridNonUniform|TestAcqEquiv|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint' ./internal/core
+	sh scripts/test_gate.sh ./internal/gp 'TestSweepSubset'
+	sh scripts/test_gate.sh ./internal/core 'TestSelectControlMatchesBruteForce|TestGridNonUniform|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint'
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,
 # and greps for the documented core/gp/oran/testbed metric families.

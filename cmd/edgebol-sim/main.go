@@ -8,8 +8,8 @@
 //	            [-dmax S] [-rmin F] [-grid LEVELS] [-grid-levels R,A,G,M[,S]]
 //	            [-split-layers N] [-seed N] [-quiet]
 //	            [-metrics ADDR] [-checkpoint-dir DIR] [-checkpoint-every N]
-//	            [-resume PATH] [-engine exact|sparse|auto] [-inducing M]
-//	            [-acquisition auto|exhaustive|adaptive]
+//	            [-resume PATH] [-engine exact|sparse] [-inducing M]
+//	            [-acquisition auto|exhaustive]
 //	edgebol-sim ckpt info PATH
 //	edgebol-sim ckpt latest DIR
 //	edgebol-sim -fleet N [-fleet-workers W] [-warm-neighbors K] [...]
@@ -28,8 +28,9 @@
 // split-inference dimension, placing part of the detector DNN on the
 // device. Grids past the paper's scale (e.g. -grid 31 -split-layers 8,
 // 7.4M candidates) are what -acquisition is for: auto keeps the
-// bitwise-exact exhaustive sweep on small grids and switches to the
-// coarse-to-fine adaptive engine on large ones.
+// bitwise-exact exhaustive sweep on small grids and runs the
+// coarse-to-fine adaptive search on large ones; exhaustive sweeps every
+// grid in full.
 //
 // With -metrics, a registry instruments the agent and the testbed and an
 // HTTP server on ADDR serves /metrics (Prometheus text) and /debug/pprof
@@ -81,14 +82,14 @@ func main() {
 	gridLevels := flag.Int("grid", 7, "control-grid levels per dimension")
 	gridPerDim := flag.String("grid-levels", "", "comma-separated per-dimension level counts res,air,gpu,mcs[,split] (overrides -grid)")
 	splitLayers := flag.Int("split-layers", 0, "levels of the split-inference control dimension (0 = pinned at all-edge)")
-	acqName := flag.String("acquisition", "auto", "acquisition engine: auto, exhaustive, or adaptive")
+	acqName := flag.String("acquisition", "auto", "acquisition mode: auto (adaptive search on large grids) or exhaustive")
 	seed := flag.Int64("seed", 1, "random seed")
 	quiet := flag.Bool("quiet", false, "suppress per-period lines")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (empty disables)")
 	ckptDir := flag.String("checkpoint-dir", "", "commit agent checkpoints into this directory (empty disables)")
 	ckptEvery := flag.Int("checkpoint-every", 10, "checkpoint interval in periods (with -checkpoint-dir)")
 	resume := flag.String("resume", "", "warm-start from this checkpoint file; \"latest\" resolves via -checkpoint-dir")
-	engineName := flag.String("engine", "exact", "GP inference engine: exact, sparse, or auto (convert when history reaches the switch threshold)")
+	engineName := flag.String("engine", "exact", "GP inference engine: exact or sparse")
 	inducing := flag.Int("inducing", 0, "sparse-engine inducing-point budget (0 = default 128)")
 	fleetN := flag.Int("fleet", 0, "run an N-cell fleet instead of a single loop (0 disables)")
 	fleetWorkers := flag.Int("fleet-workers", 0, "fleet worker-pool size (0 = default)")
@@ -366,10 +367,8 @@ func parseEngine(name string) (core.EngineSelector, error) {
 		return core.EngineExact, nil
 	case "sparse":
 		return core.EngineSparse, nil
-	case "auto":
-		return core.EngineAuto, nil
 	}
-	return 0, fmt.Errorf("unknown -engine %q (want exact, sparse, or auto)", name)
+	return 0, fmt.Errorf("unknown -engine %q (want exact or sparse)", name)
 }
 
 // parseAcquisition maps the -acquisition flag onto the core mode.
@@ -379,10 +378,8 @@ func parseAcquisition(name string) (core.AcquisitionMode, error) {
 		return core.AcqAuto, nil
 	case "exhaustive":
 		return core.AcqExhaustive, nil
-	case "adaptive":
-		return core.AcqAdaptive, nil
 	}
-	return 0, fmt.Errorf("unknown -acquisition %q (want auto, exhaustive, or adaptive)", name)
+	return 0, fmt.Errorf("unknown -acquisition %q (want auto or exhaustive)", name)
 }
 
 // buildGrid resolves -grid, -grid-levels, and -split-layers into one
@@ -461,11 +458,8 @@ func ckptMain(args []string) {
 		fmt.Printf("decomposed:     %v\n", info.DecomposedCost)
 		fmt.Printf("engine:         %s\n", info.Engine)
 		fmt.Printf("acquisition:    %s\n", info.Acquisition)
-		if info.Engine != "exact" {
+		if info.Engine == "sparse" {
 			fmt.Printf("inducing:       %d\n", info.InducingPoints)
-		}
-		if info.Engine == "auto" {
-			fmt.Printf("switch at:      %d\n", info.SparseSwitchAt)
 		}
 		for _, o := range info.Objectives {
 			if o.Engine == "sparse" {

@@ -97,19 +97,19 @@ type (
 	EngineSelector = core.EngineSelector
 	// AcquisitionRule selects the selection formula (Options.Rule).
 	AcquisitionRule = core.AcquisitionRule
-	// AcquisitionMode selects the acquisition engine — exhaustive sweep
-	// or coarse-to-fine adaptive search (Options.Acquisition).
+	// AcquisitionMode selects the acquisition mode — auto (exhaustive on
+	// small grids, coarse-to-fine adaptive search on large ones) or always
+	// exhaustive (Options.Acquisition).
 	AcquisitionMode = core.AcquisitionMode
 )
 
-// GP inference engines: the exact posterior (the default, bitwise-stable
-// story), the sparse inducing-point engine with per-period cost flat in
-// the history length, and auto (exact until Options.SparseSwitchAt
-// observations, sparse after). See DESIGN.md §12.
+// GP inference engines, fixed for an agent's life: the exact posterior
+// (the default, bitwise-stable story) and the sparse inducing-point
+// engine with per-period cost flat in the history length. See DESIGN.md
+// §12.
 const (
 	EngineExact  = core.EngineExact
 	EngineSparse = core.EngineSparse
-	EngineAuto   = core.EngineAuto
 )
 
 // Acquisition rules (§5): the paper's constrained LCB and the
@@ -119,13 +119,13 @@ const (
 	AcquisitionSafeOpt = core.AcquisitionSafeOpt
 )
 
-// Acquisition engines (DESIGN.md §14): auto picks the exhaustive sweep on
-// grids up to the paper's scale and the adaptive coarse-to-fine engine on
-// the larger spaces the split-inference dimension opens up.
+// Acquisition modes (DESIGN.md §14): auto picks the exhaustive sweep on
+// grids up to the paper's scale and the adaptive coarse-to-fine search on
+// the larger spaces the split-inference dimension opens up; exhaustive
+// sweeps the whole grid at any size.
 const (
 	AcqAuto       = core.AcqAuto
 	AcqExhaustive = core.AcqExhaustive
-	AcqAdaptive   = core.AcqAdaptive
 )
 
 // Offline hyperparameter fitting (§5 "Kernel selection").

@@ -45,8 +45,8 @@ func (o *DDPGOptions) applyDefaults() error {
 	if err := o.Constraints.Validate(); err != nil {
 		return err
 	}
-	if o.Weights.Delta1 < 0 || o.Weights.Delta2 < 0 || (o.Weights.Delta1 == 0 && o.Weights.Delta2 == 0) {
-		return fmt.Errorf("bandit: cost weights %+v invalid", o.Weights)
+	if err := o.Weights.Validate(); err != nil {
+		return err
 	}
 	if o.MaxCost == 0 {
 		o.MaxCost = 2 * core.DefaultNormalization(o.Weights).Cost.Center

@@ -9,15 +9,16 @@ import (
 )
 
 // This file implements the acquisition engine, the one selection path of
-// SelectControl. It runs in one of two modes.
+// SelectControl. It runs in one of two modes, fixed when the agent is
+// built.
 //
 // Full coverage evaluates every grid point, in index order, so slot s is
-// grid index s. Exhaustive agents run it at any grid size, and adaptive
-// agents on grids at or below acqAutoThreshold.
+// grid index s. It serves every agent that is not adaptive: AcqExhaustive
+// at any grid size, AcqAuto at or below acqAutoThreshold, and SafeOpt.
 //
-// The budgeted mode serves adaptive agents above the threshold — the
-// 31⁴×8 ≈ 7.4M-candidate spaces the split-inference dimension opens up.
-// It evaluates a budgeted subset chosen in three waves:
+// The budgeted mode serves adaptive agents (AcqAuto above the threshold)
+// — the 31⁴×8 ≈ 7.4M-candidate spaces the split-inference dimension
+// opens up. It evaluates a budgeted subset chosen in three waves:
 //
 //  1. a mandatory set — the safe seeds S₀ (the selection rules need their
 //     posteriors unconditionally) plus every training anchor (grid points
@@ -35,10 +36,8 @@ import (
 //
 // Both modes score every evaluated candidate with the same formulas — same
 // safety test, same LCB, same seed retirement and fallback, same
-// tie-breaking on grid index — so where the adaptive mode covers the whole
-// grid it selects bitwise what an exhaustive agent selects: the contract
-// the acq-equiv gate enforces. On larger grids the budgeted mode holds a
-// bounded optimum regret while evaluating a few percent of the grid.
+// tie-breaking on grid index. The budgeted mode holds a bounded optimum
+// regret while evaluating a few percent of the grid.
 const (
 	// informedSigma gates the safe-set test: a candidate is certified only
 	// when the posterior actually carries information about it — at prior
@@ -87,10 +86,7 @@ func predSigma(s, zeta float64) float64 { return math.Sqrt(s*s + zeta*zeta) }
 type acqEngine struct {
 	a        *Agent
 	gridSize int
-	// full selects the full-coverage mode: every grid point is evaluated
-	// in grid order, so slot == grid index.
-	full    bool
-	maxEval int
+	maxEval  int
 
 	// dimN and strideFlat are the per-dimension level counts and flat-
 	// index strides of the grid's Enumerate ordering (last dim fastest).
@@ -134,7 +130,7 @@ type acqEngine struct {
 	bestSafeIdx         int32
 }
 
-// AcquisitionBudget returns the adaptive engine's per-period posterior-
+// AcquisitionBudget returns an AcqAuto agent's per-period posterior-
 // evaluation budget for a grid of the given size: the full grid at or
 // below the auto threshold (full-coverage mode), min(size,
 // max(minEvalBudget, size/maxEvalDivisor)) above it. Exported so
@@ -154,14 +150,12 @@ func AcquisitionBudget(size int) int {
 }
 
 // newAcqEngine allocates the pooled acquisition state for an agent: full
-// coverage for exhaustive agents, and for adaptive agents the budget of
-// AcquisitionBudget.
+// coverage, or for adaptive agents the budget of AcquisitionBudget.
 func newAcqEngine(a *Agent) *acqEngine {
 	g := a.opts.Grid
 	size := g.Size()
-	e := &acqEngine{a: a, gridSize: size, full: !a.adaptive || size <= acqAutoThreshold}
-	e.maxEval = size
-	if !e.full {
+	e := &acqEngine{a: a, gridSize: size, maxEval: size}
+	if a.adaptive {
 		e.maxEval = AcquisitionBudget(size)
 	}
 	stride := 1
@@ -184,12 +178,12 @@ func newAcqEngine(a *Agent) *acqEngine {
 	e.lcb = make([]float64, e.maxEval)
 	e.rank = make([]uint8, e.maxEval)
 	e.safe = make([]bool, e.maxEval)
-	if !e.full {
+	if a.adaptive {
 		e.seen = make([]uint64, (size+63)/64)
 	}
 	e.heap = make([]int32, 0, e.maxEval)
 	e.seedSlot = make([]int32, len(a.safeSeedIx))
-	if e.full {
+	if !a.adaptive {
 		// Full coverage: slot == grid index, so the seed slots are static.
 		for k, gi := range a.safeSeedIx {
 			e.seedSlot[k] = int32(gi)

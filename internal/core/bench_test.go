@@ -106,7 +106,6 @@ func BenchmarkSelectControl(b *testing.B) {
 		fullOnly bool
 	}{
 		{"grid=11p4/acq=exhaustive", DefaultGridSpec(), AcqExhaustive, false},
-		{"grid=11p4/acq=adaptive", DefaultGridSpec(), AcqAdaptive, false},
 		// Exhaustive at 31⁴ = 923 521 candidates sweeps ~0.5 GB of
 		// posterior work per period; full-run only, it exists to anchor
 		// the speedup claim.

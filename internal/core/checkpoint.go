@@ -65,16 +65,15 @@ type CheckpointInfo struct {
 	// decomposed power GPs in addition to the three objective GPs.
 	DecomposedCost bool
 	// Engine is the engine selector the agent was configured with
-	// ("exact", "sparse", or "auto"). Version-1 checkpoints predate the
-	// sparse engine and always report "exact".
+	// ("exact" or "sparse"). Version-1 checkpoints predate the sparse
+	// engine and always report "exact".
 	Engine string
-	// InducingPoints and SparseSwitchAt are the resolved sparse-engine
-	// configuration (zero for version-1 checkpoints).
+	// InducingPoints is the resolved sparse-engine basis budget (zero for
+	// version-1 checkpoints).
 	InducingPoints int
-	SparseSwitchAt int
-	// Acquisition is the configured acquisition mode ("auto",
-	// "exhaustive", or "adaptive"). Version ≤ 2 checkpoints predate the
-	// adaptive engine and report "auto".
+	// Acquisition is the configured acquisition mode ("auto" or
+	// "exhaustive"). Version ≤ 2 checkpoints predate the adaptive engine
+	// and report "auto".
 	Acquisition string
 	// Objectives lists each serialized GP and its retained observation
 	// count, in section order.
@@ -85,9 +84,8 @@ type CheckpointInfo struct {
 type ObjectiveSize struct {
 	Name         string
 	Observations int
-	// Engine is the engine this GP was running at save time ("exact" or
-	// "sparse" — under the auto selector both can appear over a run's
-	// lifetime). Empty for version-1 checkpoints.
+	// Engine is the engine this GP runs ("exact" or "sparse"). Empty for
+	// version-1 checkpoints.
 	Engine string
 	// InducingPoints is the GP's current inducing-basis size (0 when
 	// exact).
@@ -112,7 +110,6 @@ type metaState struct {
 	// engine with zero sparse configuration.
 	engine         EngineSelector
 	inducingPoints int
-	sparseSwitchAt int
 	// Version-3 field; earlier checkpoints predate the adaptive engine
 	// and decode as AcqAuto — which on their (pre-LevelsPerDim) grids
 	// resolves to the exhaustive sweep they were saved under.
@@ -171,13 +168,14 @@ func (a *Agent) encodeMeta() []byte {
 			e.U64(uint64(g.Len()))
 		}
 	}
-	// Version-2 extension: the engine selector with its resolved sparse
-	// configuration, then per-objective engine identity (same order as the
-	// inventory above) so `ckpt info` can report the running engine and
-	// basis sizes without touching the GP payloads.
+	// Version-2 extension: the engine selector with its resolved basis
+	// budget, a reserved u64 (once a mid-run engine-switch threshold;
+	// written as 0, skipped on read), then per-objective engine identity
+	// (same order as the inventory above) so `ckpt info` can report the
+	// engine and basis sizes without touching the GP payloads.
 	e.U8(uint8(a.opts.Engine))
 	e.U64(uint64(a.opts.InducingPoints))
-	e.U64(uint64(a.opts.SparseSwitchAt))
+	e.U64(0)
 	for _, g := range a.gps {
 		e.String(g.EngineName())
 		e.U64(uint64(g.InducingLen()))
@@ -255,7 +253,7 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 	if version >= 2 {
 		m.engine = EngineSelector(d.U8())
 		m.inducingPoints = int(d.U64())
-		m.sparseSwitchAt = int(d.U64())
+		d.U64() // reserved
 		for i := range m.objectives {
 			if d.Err() != nil {
 				break
@@ -263,10 +261,10 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 			m.objectives[i].Engine = d.String()
 			m.objectives[i].InducingPoints = int(d.U64())
 		}
-		if d.Err() == nil && (m.engine < EngineExact || m.engine > EngineAuto) {
+		if d.Err() == nil && (m.engine < EngineExact || m.engine > EngineSparse) {
 			return nil, fmt.Errorf("%w: unknown engine selector %d", checkpoint.ErrMalformed, m.engine)
 		}
-		if d.Err() == nil && (m.inducingPoints < 0 || m.sparseSwitchAt < 0) {
+		if d.Err() == nil && m.inducingPoints < 0 {
 			return nil, fmt.Errorf("%w: negative sparse configuration", checkpoint.ErrMalformed)
 		}
 	}
@@ -275,7 +273,7 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 		for i := range m.grid.LevelsPerDim {
 			m.grid.LevelsPerDim[i] = int(d.U32())
 		}
-		if d.Err() == nil && (m.acqMode < AcqAuto || m.acqMode > AcqAdaptive) {
+		if d.Err() == nil && (m.acqMode < AcqAuto || m.acqMode > AcqExhaustive) {
 			return nil, fmt.Errorf("%w: unknown acquisition mode %d", checkpoint.ErrMalformed, m.acqMode)
 		}
 	}
@@ -449,9 +447,8 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 	// Engine identity is fixed configuration: the learned state's meaning
 	// depends on the engine that produced it. Version-1 checkpoints predate
 	// the sparse engine and therefore restore only into exact agents; for
-	// version 2 the selector must match bitwise, and the sparse-engine knobs
-	// are compared only where they shape behaviour (the basis budget for
-	// sparse/auto, the switch threshold for auto).
+	// version 2 the selector must match bitwise, and the basis budget is
+	// compared only where it shapes behaviour (the sparse engine).
 	if arch.Version < 2 {
 		if a.opts.Engine != EngineExact {
 			return nil, mismatch("Engine", EngineExact, a.opts.Engine)
@@ -460,11 +457,8 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 		if meta.engine != a.opts.Engine {
 			return nil, mismatch("Engine", meta.engine, a.opts.Engine)
 		}
-		if a.opts.Engine != EngineExact && meta.inducingPoints != a.opts.InducingPoints {
+		if a.opts.Engine == EngineSparse && meta.inducingPoints != a.opts.InducingPoints {
 			return nil, mismatch("InducingPoints", meta.inducingPoints, a.opts.InducingPoints)
-		}
-		if a.opts.Engine == EngineAuto && meta.sparseSwitchAt != a.opts.SparseSwitchAt {
-			return nil, mismatch("SparseSwitchAt", meta.sparseSwitchAt, a.opts.SparseSwitchAt)
 		}
 	}
 	// Fixed configuration must match bitwise: the learned state is only
@@ -510,8 +504,8 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 		return nil, fmt.Errorf("core: checkpoint constraints: %w", err)
 	}
 	w := meta.weights
-	if w.Delta1 < 0 || w.Delta2 < 0 || (w.Delta1 == 0 && w.Delta2 == 0) {
-		return nil, fmt.Errorf("core: checkpoint cost weights %+v invalid", w)
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if !a.opts.DecomposedCost && w != a.opts.Weights {
 		// In joint-cost mode weights cannot legally change at runtime, so a
@@ -522,15 +516,6 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 	a.opts.Constraints = meta.constraints
 	a.opts.Weights = w
 	a.t = int(meta.t)
-	// An auto-selector checkpoint taken after the switch carries sparse GP
-	// states; the fresh agent starts exact, so convert it (over empty
-	// history, which is free) before the per-GP restore — gp.RestoreFrom
-	// rejects any remaining engine disagreement.
-	if a.opts.Engine == EngineAuto && len(meta.objectives) > 0 && meta.objectives[0].Engine == "sparse" {
-		if err := a.switchToSparse(); err != nil {
-			return nil, err
-		}
-	}
 	for i, g := range a.gps {
 		sec := arch.Find(gpTags[i])
 		if sec == nil {
@@ -593,7 +578,6 @@ func ReadCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
 		DecomposedCost: meta.decomposed,
 		Engine:         engine,
 		InducingPoints: meta.inducingPoints,
-		SparseSwitchAt: meta.sparseSwitchAt,
 		Acquisition:    meta.acqMode.String(),
 		Objectives:     meta.objectives,
 	}, nil

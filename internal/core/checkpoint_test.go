@@ -119,22 +119,6 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			o.InducingPoints = 16
 			o.DecomposedCost = true
 		}},
-		// Auto with the switch before the checkpoint: the saved state is
-		// sparse and LoadCheckpoint must convert the fresh agent before
-		// restoring.
-		{"auto post-switch", func(o *Options) {
-			o.Engine = EngineAuto
-			o.InducingPoints = 16
-			o.SparseSwitchAt = 8
-		}},
-		// Auto with the switch after the checkpoint: the saved state is
-		// exact and the restored run must convert at the same period the
-		// uninterrupted run did.
-		{"auto pre-switch", func(o *Options) {
-			o.Engine = EngineAuto
-			o.InducingPoints = 16
-			o.SparseSwitchAt = 20
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

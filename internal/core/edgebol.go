@@ -69,23 +69,14 @@ const (
 	// observation: O(m²) per observation and per candidate regardless of
 	// horizon (see gp.SparseConfig).
 	EngineSparse
-	// EngineAuto starts exact — at small t the exact posterior is both
-	// affordable and strictly better — and converts every GP to the sparse
-	// engine once the period counter reaches SparseSwitchAt, replaying the
-	// retained history so the result matches having run sparse throughout.
-	EngineAuto
 )
 
 // String returns the selector's flag/metadata spelling.
 func (e EngineSelector) String() string {
-	switch e {
-	case EngineSparse:
+	if e == EngineSparse {
 		return "sparse"
-	case EngineAuto:
-		return "auto"
-	default:
-		return "exact"
 	}
+	return "exact"
 }
 
 // Options configure an EdgeBOL agent.
@@ -133,18 +124,14 @@ type Options struct {
 	// It applies to the exact engine only: the sparse engine's costs are
 	// bounded by InducingPoints and eviction is a no-op there.
 	MaxObservations int
-	// Engine selects the GP inference engine (exact, sparse, or
-	// auto-switch at SparseSwitchAt). Fixed configuration: a checkpoint
-	// restores only under the selector it was saved with.
+	// Engine selects the GP inference engine, exact or sparse, for the
+	// agent's whole life. Fixed configuration: a checkpoint restores only
+	// under the selector it was saved with.
 	Engine EngineSelector
 	// InducingPoints is the sparse engine's basis budget m; 0 defaults to
 	// 128. Larger m tracks the exact posterior more tightly at O(m²)
 	// per-candidate cost.
 	InducingPoints int
-	// SparseSwitchAt is the period count at which EngineAuto converts to
-	// the sparse engine; 0 defaults to 512 — past that the exact sweep's
-	// O(t²) per-candidate cost dominates a control period.
-	SparseSwitchAt int
 	// InferenceWorkers is the degree of parallelism of the per-period
 	// posterior sweep: each objective's batched posterior is sharded across
 	// this many goroutines, and the objectives themselves run concurrently.
@@ -161,15 +148,13 @@ type Options struct {
 	// against and found "overly slow" (§5, citing Berkenkamp et al.).
 	Rule AcquisitionRule
 	// Acquisition selects the acquisition mode: AcqAuto (default) covers
-	// the whole grid where that is affordable and switches to the
-	// adaptive coarse-to-fine search past acqAutoThreshold candidates;
-	// AcqExhaustive and AcqAdaptive force one mode. Both are modes of one
-	// engine with one set of selection formulas: on small grids the
-	// adaptive mode covers the whole grid too, so the two agree exactly
-	// (the acq-equiv gate); on larger grids the adaptive mode holds a
-	// bounded optimum regret while evaluating a few percent of the
-	// candidates. Fixed configuration: a checkpoint restores only under
-	// the mode it was saved with.
+	// the whole grid where that is affordable and runs the budgeted
+	// coarse-to-fine search past acqAutoThreshold candidates; AcqExhaustive
+	// covers the whole grid at any size. Both modes score candidates with
+	// one set of selection formulas; the budgeted one holds a bounded
+	// optimum regret while evaluating a few percent of the candidates.
+	// Fixed configuration: a checkpoint restores only under the mode it
+	// was saved with.
 	Acquisition AcquisitionMode
 	// DecomposedCost learns the two power surfaces p_s and p_b with
 	// separate GPs instead of the scalar cost u. The acquisition combines
@@ -196,8 +181,8 @@ func (o *Options) applyDefaults() error {
 	if err := o.Constraints.Validate(); err != nil {
 		return err
 	}
-	if o.Weights.Delta1 < 0 || o.Weights.Delta2 < 0 || (o.Weights.Delta1 == 0 && o.Weights.Delta2 == 0) {
-		return fmt.Errorf("core: cost weights %+v invalid", o.Weights)
+	if err := o.Weights.Validate(); err != nil {
+		return err
 	}
 	if len(o.SafeSeed) == 0 {
 		// One seed per resolution level, at maximum radio/compute resources
@@ -219,8 +204,8 @@ func (o *Options) applyDefaults() error {
 	if o.AcqBeta == 0 {
 		o.AcqBeta = 2.5
 	}
-	if o.SafeBeta < 0 || o.AcqBeta < 0 {
-		return fmt.Errorf("core: negative beta")
+	if o.SafeBeta < 0 || o.AcqBeta < 0 || !finite(o.SafeBeta) || !finite(o.AcqBeta) {
+		return fmt.Errorf("core: betas %v, %v must be finite and non-negative", o.SafeBeta, o.AcqBeta)
 	}
 	dims := ContextDims + ControlDims
 	if o.LengthScales == nil {
@@ -257,6 +242,13 @@ func (o *Options) applyDefaults() error {
 			return fmt.Errorf("core: %d length scales for GP %d, want %d", len(ls), i, dims)
 		}
 	}
+	for _, ls := range append([][]float64{o.LengthScales}, o.LengthScalesPerGP[:]...) {
+		for _, l := range ls {
+			if l <= 0 || math.IsNaN(l) {
+				return fmt.Errorf("core: length scale %v must be positive", l)
+			}
+		}
+	}
 	if o.KernelFactory == nil {
 		o.KernelFactory = gp.Matern32Factory
 	}
@@ -265,43 +257,33 @@ func (o *Options) applyDefaults() error {
 		if o.NoiseVars[i] == 0 {
 			o.NoiseVars[i] = defNoise[i]
 		}
-		if o.NoiseVars[i] < 0 {
-			return fmt.Errorf("core: negative noise variance")
+		if o.NoiseVars[i] < 0 || !finite(o.NoiseVars[i]) {
+			return fmt.Errorf("core: noise variance %v must be finite and positive", o.NoiseVars[i])
 		}
 	}
 	def := DefaultNormalization(o.Weights)
-	if o.Norm.Cost == (Affine{}) {
-		o.Norm.Cost = def.Cost
-	}
-	if o.Norm.Delay == (Affine{}) {
-		o.Norm.Delay = def.Delay
-	}
-	if o.Norm.MAP == (Affine{}) {
-		o.Norm.MAP = def.MAP
-	}
-	if o.Norm.ServerPower == (Affine{}) {
-		o.Norm.ServerPower = def.ServerPower
-	}
-	if o.Norm.BSPower == (Affine{}) {
-		o.Norm.BSPower = def.BSPower
-	}
-	if o.Norm.Cost.Scale <= 0 || o.Norm.Delay.Scale <= 0 || o.Norm.MAP.Scale <= 0 ||
-		o.Norm.ServerPower.Scale <= 0 || o.Norm.BSPower.Scale <= 0 {
-		return fmt.Errorf("core: non-positive normalization scales %+v", o.Norm)
+	defs := normAffines(&def)
+	for i, af := range normAffines(&o.Norm) {
+		if *af == (Affine{}) {
+			*af = *defs[i]
+		}
+		if af.Scale <= 0 || !finite(af.Scale) || !finite(af.Center) {
+			return fmt.Errorf("core: normalization %+v needs a finite center and a finite positive scale", *af)
+		}
 	}
 	defPowerNoise := [2]float64{7e-3, 3e-2}
 	for i := range o.PowerNoiseVars {
 		if o.PowerNoiseVars[i] == 0 {
 			o.PowerNoiseVars[i] = defPowerNoise[i]
 		}
-		if o.PowerNoiseVars[i] < 0 {
-			return fmt.Errorf("core: negative power noise variance")
+		if o.PowerNoiseVars[i] < 0 || !finite(o.PowerNoiseVars[i]) {
+			return fmt.Errorf("core: power noise variance %v must be finite and positive", o.PowerNoiseVars[i])
 		}
 	}
-	if o.MaxObservations < 0 {
-		return fmt.Errorf("core: negative observation bound")
+	if o.MaxObservations < 0 || o.MaxObservations == 1 {
+		return fmt.Errorf("core: observation bound %d must be 0 (unlimited) or at least 2", o.MaxObservations)
 	}
-	if o.Engine < EngineExact || o.Engine > EngineAuto {
+	if o.Engine < EngineExact || o.Engine > EngineSparse {
 		return fmt.Errorf("core: unknown engine selector %d", o.Engine)
 	}
 	if o.InducingPoints < 0 {
@@ -310,26 +292,14 @@ func (o *Options) applyDefaults() error {
 	if o.InducingPoints == 0 {
 		o.InducingPoints = 128
 	}
-	if o.SparseSwitchAt < 0 {
-		return fmt.Errorf("core: negative sparse switch threshold")
-	}
-	if o.SparseSwitchAt == 0 {
-		o.SparseSwitchAt = 512
-	}
 	if o.InferenceWorkers < 0 {
 		return fmt.Errorf("core: negative inference worker count")
 	}
 	if o.Rule < AcquisitionLCB || o.Rule > AcquisitionSafeOpt {
 		return fmt.Errorf("core: unknown acquisition rule %d", o.Rule)
 	}
-	if o.Acquisition < AcqAuto || o.Acquisition > AcqAdaptive {
+	if o.Acquisition < AcqAuto || o.Acquisition > AcqExhaustive {
 		return fmt.Errorf("core: unknown acquisition mode %d", o.Acquisition)
-	}
-	if o.Acquisition == AcqAdaptive && o.Rule == AcquisitionSafeOpt {
-		// SafeOpt ranks maximizers and expanders against the *global*
-		// best-UCB over the safe set, which requires the full posterior
-		// arrays the adaptive engine exists to avoid materializing.
-		return fmt.Errorf("core: AcquisitionSafeOpt requires the exhaustive acquisition engine")
 	}
 	return nil
 }
@@ -366,36 +336,29 @@ type AcquisitionMode int
 const (
 	// AcqAuto (the zero value) sweeps exhaustively on grids up to
 	// acqAutoThreshold candidates — where the SweepPlan is fast and the
-	// full posterior arrays are cheap — and switches to the adaptive
-	// mode beyond, where the exhaustive sweep stops scaling.
+	// full posterior arrays are cheap — and runs the adaptive
+	// coarse-to-fine search beyond, where the exhaustive sweep stops
+	// scaling: a strided sub-lattice sweep refined around the incumbents
+	// plus best-first local search seeded from the safe set, evaluating a
+	// few percent of the grid. SafeOpt always sweeps exhaustively.
 	AcqAuto AcquisitionMode = iota
 	// AcqExhaustive forces full coverage: every candidate's posterior is
 	// computed every period, at any grid size. The reference the budgeted
 	// adaptive mode's regret is measured against on large grids.
 	AcqExhaustive
-	// AcqAdaptive forces the coarse-to-fine mode: a strided sub-lattice
-	// sweep refined around the incumbents plus best-first local search
-	// seeded from the safe set, evaluating a few percent of the grid.
-	AcqAdaptive
 )
 
 // String returns the mode's flag/metadata spelling.
 func (m AcquisitionMode) String() string {
-	switch m {
-	case AcqExhaustive:
+	if m == AcqExhaustive {
 		return "exhaustive"
-	case AcqAdaptive:
-		return "adaptive"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // acqAutoThreshold is the grid size above which AcqAuto abandons the
 // exhaustive sweep. The paper's 11⁴ = 14 641 grid stays comfortably below
-// it, so default-configured agents keep their bitwise-exact behaviour; the
-// bound also marks where the adaptive engine's informed-set flood still
-// guarantees the exhaustive argmax exactly (see acquire.go).
+// it, so default-configured agents keep their bitwise-exact behaviour.
 const acqAutoThreshold = 32768
 
 // gpCost, gpDelay, gpMAP index the agent's three GPs, matching the paper's
@@ -411,11 +374,11 @@ const (
 // concurrent use.
 type Agent struct {
 	opts Options
-	// adaptive is the resolved acquisition mode: Options.Acquisition
-	// after AcqAuto has been decided against the grid size.
+	// adaptive is the resolved acquisition mode: AcqAuto above
+	// acqAutoThreshold candidates under the LCB rule.
 	adaptive bool
-	// acq is the pooled acquisition-engine state: full coverage on
-	// exhaustive agents, budgeted waves on adaptive ones (see acquire.go).
+	// acq is the pooled acquisition-engine state: budgeted waves on
+	// adaptive agents, full coverage on all others (see acquire.go).
 	acq *acqEngine
 
 	gps [numGPs]*gp.GP
@@ -469,16 +432,14 @@ type agentMetrics struct {
 // SelectionInfo reports diagnostics from one acquisition step.
 type SelectionInfo struct {
 	// SafeSetSize is |S_t| including the seed set. Under the adaptive
-	// engine it counts the safe points among the evaluated candidates —
-	// on small grids that equals the exhaustive count exactly (the
-	// informed-set flood visits every certifiable point); on large grids
-	// it is a lower bound.
+	// mode it counts the safe points among the evaluated candidates, a
+	// lower bound on the full count.
 	SafeSetSize int
 	// FromSeed is true when no learned control passed the safety test and
 	// the acquisition fell back to the seed set S₀.
 	FromSeed bool
 	// Adaptive reports the agent's resolved acquisition mode: true under
-	// AcqAdaptive, and under AcqAuto above acqAutoThreshold.
+	// AcqAuto above acqAutoThreshold, where the budgeted search runs.
 	Adaptive bool
 	// CandidatesEvaluated is the number of grid points whose posterior
 	// was computed this period — the grid size for the exhaustive sweep,
@@ -508,16 +469,16 @@ func NewAgent(opts Options) (*Agent, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	a := &Agent{opts: opts}
-	switch opts.Acquisition {
-	case AcqAdaptive:
-		a.adaptive = true
-	case AcqAuto:
-		a.adaptive = opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt
+	// SafeOpt ranks maximizers and expanders against the global best UCB
+	// over the safe set, which needs the full posterior arrays the budgeted
+	// search exists to avoid, so it always sweeps exhaustively.
+	a := &Agent{
+		opts:     opts,
+		adaptive: opts.Acquisition == AcqAuto && opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt,
 	}
 	newGP := func(ls []float64, noiseVar float64) (*gp.GP, error) {
 		if opts.Engine == EngineSparse {
-			return gp.NewSparse(opts.KernelFactory(ls), noiseVar, a.sparseConfig())
+			return gp.NewSparse(opts.KernelFactory(ls), noiseVar, gp.SparseConfig{MaxInducing: opts.InducingPoints})
 		}
 		return gp.New(opts.KernelFactory(ls), noiseVar, opts.MaxObservations), nil
 	}
@@ -572,7 +533,7 @@ func NewAgent(opts Options) (*Agent, error) {
 		acqRefines:    opts.Telemetry.Counter("edgebol_acq_refine_rounds"),
 		acqFallback:   opts.Telemetry.Counter("edgebol_acq_fallback_total"),
 		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
-			telemetry.LatencyBuckets(), "mode", a.acqMode().String()),
+			telemetry.LatencyBuckets(), "mode", a.AcquisitionEngine()),
 	}
 	// Locate seed controls on the grid (snapped if off-grid) by direct
 	// index arithmetic.
@@ -586,23 +547,9 @@ func NewAgent(opts Options) (*Agent, error) {
 	return a, nil
 }
 
-// acqMode reports the resolved acquisition engine (never AcqAuto).
-func (a *Agent) acqMode() AcquisitionMode {
-	if a.adaptive {
-		return AcqAdaptive
-	}
-	return AcqExhaustive
-}
-
-// sparseConfig derives the gp.SparseConfig from the agent's options —
-// shared by construction (EngineSparse) and conversion (EngineAuto).
-func (a *Agent) sparseConfig() gp.SparseConfig {
-	return gp.SparseConfig{MaxInducing: a.opts.InducingPoints}
-}
-
-// buildPlans (re)builds the per-objective grid sweep plans from the
-// grid's level values against each GP's current basis. A kernel the plan
-// cannot factorize fails the build with an error wrapping
+// buildPlans builds the per-objective grid sweep plans from the grid's
+// level values. Each plan tracks its GP's basis as it grows. A kernel the
+// plan cannot factorize fails the build with an error wrapping
 // gp.ErrUnsupportedKernel.
 func (a *Agent) buildPlans() error {
 	levelVals, err := a.opts.Grid.LevelValues()
@@ -632,41 +579,22 @@ func (a *Agent) buildPlans() error {
 	return nil
 }
 
-// switchToSparse converts every GP to the inducing-point engine (replaying
-// the retained history through online basis selection), re-registers the
-// engine-labeled telemetry, and rebuilds the sweep plans over the new
-// bases. Used by EngineAuto when the period counter crosses SparseSwitchAt
-// and by LoadCheckpoint when restoring a post-switch snapshot.
-func (a *Agent) switchToSparse() error {
-	cfg := a.sparseConfig()
-	for i, g := range a.gps {
-		if err := g.ConvertToSparse(cfg); err != nil {
-			return fmt.Errorf("core: %s GP: %w", objectiveNames[i], err)
-		}
-		g.Instrument(a.opts.Telemetry, objectiveNames[i])
-	}
-	if a.opts.DecomposedCost {
-		for i, g := range a.powerGPs {
-			if err := g.ConvertToSparse(cfg); err != nil {
-				return fmt.Errorf("core: %s GP: %w", powerObjectiveNames[i], err)
-			}
-			g.Instrument(a.opts.Telemetry, powerObjectiveNames[i])
-		}
-	}
-	return a.buildPlans()
-}
-
-// EngineActive reports the engine currently serving inference: "exact" or
-// "sparse". Under EngineAuto it flips when the switch threshold is crossed.
+// EngineActive reports the engine serving inference, "exact" or
+// "sparse": Options.Engine, fixed for the agent's life.
 func (a *Agent) EngineActive() string { return a.gps[gpDelay].EngineName() }
 
-// AcquisitionEngine reports the resolved acquisition engine as its flag
-// spelling: "exhaustive" or "adaptive" (never "auto").
-func (a *Agent) AcquisitionEngine() string { return a.acqMode().String() }
+// AcquisitionEngine reports the resolved acquisition mode, also its
+// telemetry label: "exhaustive" or "adaptive" (never "auto").
+func (a *Agent) AcquisitionEngine() string {
+	if a.adaptive {
+		return "adaptive"
+	}
+	return "exhaustive"
+}
 
 // InducingPoints reports the current inducing-basis size of the delay GP
-// (the engines convert in lockstep, so one GP is representative); 0 while
-// the exact engine is active.
+// (every GP runs the same engine, so one is representative); 0 under the
+// exact engine.
 func (a *Agent) InducingPoints() int {
 	if !a.gps[gpDelay].IsSparse() {
 		return 0
@@ -711,14 +639,8 @@ func (a *Agent) SetWeights(w CostWeights) error {
 	if !a.opts.DecomposedCost {
 		return &ErrInvalidReconfig{Field: "Weights", Value: w, Reason: "requires DecomposedCost mode"}
 	}
-	if w.Delta1 < 0 || math.IsNaN(w.Delta1) {
-		return &ErrInvalidReconfig{Field: "Weights.Delta1", Value: w.Delta1, Reason: "must be non-negative"}
-	}
-	if w.Delta2 < 0 || math.IsNaN(w.Delta2) {
-		return &ErrInvalidReconfig{Field: "Weights.Delta2", Value: w.Delta2, Reason: "must be non-negative"}
-	}
-	if w.Delta1 == 0 && w.Delta2 == 0 {
-		return &ErrInvalidReconfig{Field: "Weights", Value: w, Reason: "at least one price must be positive"}
+	if e := w.invalid(); e != nil {
+		return e
 	}
 	a.opts.Weights = w
 	a.invalidateDerived()
@@ -749,7 +671,7 @@ func (a *Agent) SelectControl(ctx Context) (Control, SelectionInfo) {
 	start := time.Now()
 	e := a.acq
 	e.reset(ctx)
-	if e.full {
+	if !a.adaptive {
 		e.addAll()
 		e.flush()
 	} else {
@@ -802,16 +724,6 @@ func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 	if err := checkFinite(z, cost, ps, pb, delay, mAP); err != nil {
 		return fmt.Errorf("core: observation has %w", err)
 	}
-	// EngineAuto: convert to the sparse engine once the period counter
-	// crosses the threshold. The condition is stateless — it reads only
-	// the current engine and t — so a run restored from a post-switch
-	// checkpoint (already sparse) and a restored pre-switch run (converts
-	// on its first post-threshold period) both behave correctly.
-	if a.opts.Engine == EngineAuto && a.t >= a.opts.SparseSwitchAt && !a.gps[gpDelay].IsSparse() {
-		if err := a.switchToSparse(); err != nil {
-			return err
-		}
-	}
 	if a.opts.DecomposedCost {
 		if err := a.powerGPs[0].Add(z, ps); err != nil {
 			return fmt.Errorf("core: server power GP: %w", err)
@@ -835,17 +747,20 @@ func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // checkFinite rejects a training sample — a feature row and its GP
 // targets — holding a NaN or infinite value. Observe and SeedHistory run
 // it before their first GP append, so a rejected sample changes nothing.
 func checkFinite(features []float64, targets ...float64) error {
 	for _, v := range features {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return fmt.Errorf("non-finite feature %v", v)
 		}
 	}
 	for _, v := range targets {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return fmt.Errorf("non-finite target %v", v)
 		}
 	}
@@ -885,7 +800,7 @@ func (a *Agent) emitPeriod(ctx Context, x Control, k KPIs) {
 		SafeSetSize:         info.SafeSetSize,
 		FromSeed:            info.FromSeed,
 		LCB:                 info.LCB,
-		AcqMode:             a.acqMode().String(),
+		AcqMode:             a.AcquisitionEngine(),
 		CandidatesEvaluated: info.CandidatesEvaluated,
 		RefineRounds:        info.RefineRounds,
 		PostMean:            [3]float64{info.Cost.Mean, info.Delay.Mean, info.MAP.Mean},

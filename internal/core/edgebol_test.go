@@ -60,18 +60,56 @@ func newTestAgent(t *testing.T, cons Constraints) *Agent {
 	return a
 }
 
+// TestNewAgentValidation: NewAgent rejects every malformed option with an
+// error — never a panic from the GP layer, never an agent whose every
+// Observe or safety test would fail.
 func TestNewAgentValidation(t *testing.T) {
-	bad := []Options{
-		{},
-		{Grid: testGrid()},
-		{Grid: testGrid(), Constraints: Constraints{MaxDelay: 1, MinMAP: 0.3}},
-		{Grid: testGrid(), Constraints: Constraints{MaxDelay: 1, MinMAP: 0.3},
-			Weights: CostWeights{Delta1: -1, Delta2: 1}},
+	valid := func() Options {
+		return Options{Grid: testGrid(), Constraints: Constraints{MaxDelay: 1, MinMAP: 0.3},
+			Weights: CostWeights{Delta1: 1, Delta2: 1}}
 	}
-	for i, o := range bad {
-		if _, err := NewAgent(o); err == nil {
-			t.Fatalf("options %d should be rejected", i)
+	if _, err := NewAgent(valid()); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	lengthScales := func(bad float64) []float64 {
+		ls := make([]float64, ContextDims+ControlDims)
+		for i := range ls {
+			ls[i] = 1
 		}
+		ls[len(ls)-1] = bad
+		return ls
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"zero options", func(o *Options) { *o = Options{} }},
+		{"grid only", func(o *Options) { *o = Options{Grid: testGrid()} }},
+		{"no weights", func(o *Options) { o.Weights = CostWeights{} }},
+		{"negative delta1", func(o *Options) { o.Weights.Delta1 = -1 }},
+		{"nan delta1", func(o *Options) { o.Weights.Delta1 = nan }},
+		{"inf delta2", func(o *Options) { o.Weights.Delta2 = inf }},
+		{"nan safe beta", func(o *Options) { o.SafeBeta = nan }},
+		{"inf acq beta", func(o *Options) { o.AcqBeta = inf }},
+		{"observation bound 1", func(o *Options) { o.MaxObservations = 1 }},
+		{"zero length scale", func(o *Options) { o.LengthScales = lengthScales(0) }},
+		{"nan length scale", func(o *Options) { o.LengthScales = lengthScales(nan) }},
+		{"zero per-GP length scale", func(o *Options) { o.LengthScalesPerGP[gpDelay] = lengthScales(0) }},
+		{"nan noise variance", func(o *Options) { o.NoiseVars[0] = nan }},
+		{"inf noise variance", func(o *Options) { o.NoiseVars[1] = inf }},
+		{"inf power noise variance", func(o *Options) { o.PowerNoiseVars[0] = inf }},
+		{"nan norm center", func(o *Options) { o.Norm.Delay = Affine{Center: nan, Scale: 0.1} }},
+		{"inf norm scale", func(o *Options) { o.Norm.MAP = Affine{Center: 0.5, Scale: inf} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := valid()
+			tc.mut(&o)
+			if _, err := NewAgent(o); err == nil {
+				t.Fatal("options accepted")
+			}
+		})
 	}
 }
 

@@ -63,11 +63,11 @@ func (a *Agent) History(max int) []HistorySample {
 
 // SeedHistory replays a pooled history into the agent's GPs, exactly as
 // if the agent had lived those periods itself: each sample runs the same
-// engine-switch check and per-objective appends Observe performs, and the
-// period counter advances. A warm-started agent is therefore bitwise
-// identical — selections, posteriors, checkpoints — to a fresh agent that
-// observed the pooled history directly; only process-local telemetry
-// (which counts lived periods, not seeded ones) differs.
+// per-objective appends Observe performs, and the period counter
+// advances. A warm-started agent is therefore bitwise identical —
+// selections, posteriors, checkpoints — to a fresh agent that observed
+// the pooled history directly; only process-local telemetry (which counts
+// lived periods, not seeded ones) differs.
 //
 // Samples must be in the agent's own working units: features normalized
 // by the standard Context/Control feature maps and targets by the same
@@ -94,13 +94,6 @@ func (a *Agent) SeedHistory(samples []HistorySample) error {
 		}
 	}
 	for i, s := range samples {
-		// Mirror Observe's engine-auto conversion so a seeded run crosses
-		// SparseSwitchAt at the same period a lived run would.
-		if a.opts.Engine == EngineAuto && a.t >= a.opts.SparseSwitchAt && !a.gps[gpDelay].IsSparse() {
-			if err := a.switchToSparse(); err != nil {
-				return err
-			}
-		}
 		if err := a.gps[gpCost].Add(s.Features, s.Cost); err != nil {
 			return fmt.Errorf("core: seed sample %d: cost GP: %w", i, err)
 		}

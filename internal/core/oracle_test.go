@@ -118,6 +118,11 @@ func TestSelectControlMatchesBruteForce(t *testing.T) {
 			g.LevelsPerDim = [ControlDims]int{3, 4, 3, 2, 3}
 			return g
 		}},
+		{"non-uniform", func() GridSpec {
+			g := testOptions().Grid
+			g.LevelsPerDim = [ControlDims]int{3, 5, 2, 4, 1}
+			return g
+		}},
 	}
 	cases := []struct {
 		name string
@@ -131,6 +136,7 @@ func TestSelectControlMatchesBruteForce(t *testing.T) {
 		{"evicting", func(o *Options) { o.MaxObservations = 8 }},
 		{"no safe set", func(o *Options) { o.DisableSafeSet = true }},
 		{"safeopt", func(o *Options) { o.Rule = AcquisitionSafeOpt }},
+		{"workers=3", func(o *Options) { o.InferenceWorkers = 3 }},
 	}
 	for _, g := range grids {
 		for _, tc := range cases {

@@ -64,6 +64,7 @@ func TestSetWeightsTypedErrors(t *testing.T) {
 		field string
 	}{
 		{"negative delta1", CostWeights{Delta1: -1, Delta2: 1}, "Weights.Delta1"},
+		{"inf delta1", CostWeights{Delta1: math.Inf(1), Delta2: 1}, "Weights.Delta1"},
 		{"nan delta2", CostWeights{Delta1: 1, Delta2: math.NaN()}, "Weights.Delta2"},
 		{"all zero", CostWeights{}, "Weights"},
 	}

@@ -10,7 +10,6 @@ func TestEngineSelectorString(t *testing.T) {
 	cases := map[EngineSelector]string{
 		EngineExact:  "exact",
 		EngineSparse: "sparse",
-		EngineAuto:   "auto",
 	}
 	for sel, want := range cases {
 		if got := sel.String(); got != want {
@@ -31,17 +30,12 @@ func TestEngineOptionValidation(t *testing.T) {
 		t.Fatal("negative inducing budget accepted")
 	}
 	opts = testOptions()
-	opts.SparseSwitchAt = -1
-	if _, err := NewAgent(opts); err == nil {
-		t.Fatal("negative switch threshold accepted")
-	}
-	opts = testOptions()
 	a, err := NewAgent(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.opts.InducingPoints != 128 || a.opts.SparseSwitchAt != 512 {
-		t.Fatalf("defaults not applied: inducing=%d switchAt=%d", a.opts.InducingPoints, a.opts.SparseSwitchAt)
+	if a.opts.InducingPoints != 128 {
+		t.Fatalf("default inducing budget %d, want 128", a.opts.InducingPoints)
 	}
 	if a.EngineActive() != "exact" {
 		t.Fatalf("default engine %q, want exact", a.EngineActive())
@@ -70,81 +64,6 @@ func TestSparseAgentRunsSparseFromStart(t *testing.T) {
 	}
 	if a.gps[gpDelay].Len() != 30 {
 		t.Fatalf("history %d, want 30", a.gps[gpDelay].Len())
-	}
-}
-
-func TestAutoSwitchConvertsAtThreshold(t *testing.T) {
-	opts := testOptions()
-	opts.Engine = EngineAuto
-	opts.InducingPoints = 16
-	opts.SparseSwitchAt = 6
-	a, err := NewAgent(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPeriods(t, a, 0, 6)
-	if a.EngineActive() != "exact" {
-		t.Fatalf("engine %q before threshold, want exact", a.EngineActive())
-	}
-	runPeriods(t, a, 6, 7)
-	if a.EngineActive() != "sparse" {
-		t.Fatalf("engine %q after threshold, want sparse", a.EngineActive())
-	}
-	// History must survive the conversion and keep growing.
-	if a.gps[gpDelay].Len() != 7 {
-		t.Fatalf("history %d after switch, want 7", a.gps[gpDelay].Len())
-	}
-	runPeriods(t, a, 7, 20)
-	if a.gps[gpDelay].Len() != 20 {
-		t.Fatalf("history %d, want 20", a.gps[gpDelay].Len())
-	}
-}
-
-// TestAutoSwitchMatchesAlwaysSparse: conversion replays the retained
-// history through the same admission path, so an auto agent after its
-// switch and an always-sparse agent fed the same stream end bitwise
-// identical — the property that makes the auto selector safe to default.
-func TestAutoSwitchMatchesAlwaysSparse(t *testing.T) {
-	const T = 24
-	sparseOpts := testOptions()
-	sparseOpts.Engine = EngineSparse
-	sparseOpts.InducingPoints = 16
-	alwaysSparse, err := NewAgent(sparseOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	autoOpts := testOptions()
-	autoOpts.Engine = EngineAuto
-	autoOpts.InducingPoints = 16
-	autoOpts.SparseSwitchAt = 10
-	auto, err := NewAgent(autoOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Drive both on the same observation stream (selections may differ
-	// while auto is still exact, so feed observations directly).
-	for i := 0; i < T; i++ {
-		ctx := scriptContext(i)
-		x := autoOpts.Grid.At(i % autoOpts.Grid.Size())
-		k := scriptKPIs(i, x)
-		if err := alwaysSparse.Observe(ctx, x, k); err != nil {
-			t.Fatal(err)
-		}
-		if err := auto.Observe(ctx, x, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if auto.EngineActive() != "sparse" {
-		t.Fatal("auto agent did not switch")
-	}
-	for i := range auto.gps {
-		s1 := auto.gps[i].Snapshot()
-		s2 := alwaysSparse.gps[i].Snapshot()
-		if !gpStatesEqual(s1, s2) {
-			t.Fatalf("GP %d: auto-switched state differs from always-sparse", i)
-		}
 	}
 }
 
@@ -235,16 +154,6 @@ func TestCheckpointRejectsEngineMismatch(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader(sparseCkpt), other); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("differing inducing budgets: %v", err)
 	}
-	// Auto selector with a different switch threshold.
-	autoOpts := testOptions()
-	autoOpts.Engine = EngineAuto
-	autoOpts.SparseSwitchAt = 50
-	autoCkpt := save(autoOpts, 4)
-	otherAuto := autoOpts
-	otherAuto.SparseSwitchAt = 60
-	if _, err := LoadCheckpoint(bytes.NewReader(autoCkpt), otherAuto); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("differing switch thresholds: %v", err)
-	}
 	// Matching configuration restores fine.
 	if _, err := LoadCheckpoint(bytes.NewReader(sparseCkpt), sparseOpts); err != nil {
 		t.Fatalf("matching sparse restore failed: %v", err)
@@ -284,8 +193,5 @@ func TestReadCheckpointInfoReportsEngine(t *testing.T) {
 		if obj.Observations != 8 {
 			t.Fatalf("objective %s observations %d, want 8", obj.Name, obj.Observations)
 		}
-	}
-	if info.SparseSwitchAt != 512 {
-		t.Fatalf("info switchAt %d, want resolved default 512", info.SparseSwitchAt)
 	}
 }

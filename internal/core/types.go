@@ -180,6 +180,30 @@ func (w CostWeights) Cost(k KPIs) float64 {
 	return w.Delta1*k.ServerPower + w.Delta2*k.BSPower
 }
 
+// Validate reports whether the prices are usable: finite, non-negative,
+// and not both zero.
+func (w CostWeights) Validate() error {
+	if e := w.invalid(); e != nil {
+		return fmt.Errorf("core: cost weights %+v: %s %s", w, e.Field, e.Reason)
+	}
+	return nil
+}
+
+// invalid returns the first field Validate rejects, in the form
+// SetWeights reports it, or nil.
+func (w CostWeights) invalid() *ErrInvalidReconfig {
+	if w.Delta1 < 0 || !finite(w.Delta1) {
+		return &ErrInvalidReconfig{Field: "Weights.Delta1", Value: w.Delta1, Reason: "must be finite and non-negative"}
+	}
+	if w.Delta2 < 0 || !finite(w.Delta2) {
+		return &ErrInvalidReconfig{Field: "Weights.Delta2", Value: w.Delta2, Reason: "must be finite and non-negative"}
+	}
+	if w.Delta1 == 0 && w.Delta2 == 0 {
+		return &ErrInvalidReconfig{Field: "Weights", Value: w, Reason: "at least one price must be positive"}
+	}
+	return nil
+}
+
 // Constraints are the service-level requirements of eq. 2: a maximum
 // service delay and a minimum mAP.
 type Constraints struct {

@@ -40,7 +40,7 @@ func FleetWarmStart(scale Scale, seed int64) (*Table, error) {
 	}
 	neighbors := scale.WarmStartNeighbors
 	if neighbors == 0 {
-		neighbors = minInt(2, cells)
+		neighbors = min(2, cells)
 	}
 	t := &Table{
 		ID:    "fleetwarm",

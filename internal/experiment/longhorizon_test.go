@@ -1,22 +1,13 @@
 package experiment
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestLongHorizonScaledDown runs the t≥10⁴ scenario at a test-sized
-// horizon: the auto selector must convert mid-run, the table must carry
-// one row per bucket, and every VerifyLongHorizon check must pass.
+// horizon: the agent runs sparse from period 0, the table carries one row
+// per bucket, every bucket's basis stays within budget, and every
+// VerifyLongHorizon check passes.
 func TestLongHorizonScaledDown(t *testing.T) {
-	cfg := LongHorizonConfig{
-		Periods:        360,
-		Engine:         core.EngineAuto,
-		InducingPoints: 48,
-		SparseSwitchAt: 120,
-		Buckets:        12,
-	}
+	cfg := LongHorizonConfig{Periods: 360, InducingPoints: 48, Buckets: 12}
 	tab, err := LongHorizon(tinyScale(), cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -28,11 +19,10 @@ func TestLongHorizonScaledDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inducing[0] != 0 {
-		t.Fatalf("first bucket already sparse (inducing %v)", inducing[0])
-	}
-	if last := inducing[len(inducing)-1]; last <= 0 || last > 48 {
-		t.Fatalf("final basis %v outside (0, 48]", last)
+	for i, v := range inducing {
+		if v <= 0 || v > 48 {
+			t.Fatalf("bucket %d: basis %v outside (0, 48]", i, v)
+		}
 	}
 	checks, err := VerifyLongHorizon(tab, cfg.InducingPoints)
 	if err != nil {
@@ -48,23 +38,7 @@ func TestLongHorizonScaledDown(t *testing.T) {
 	}
 }
 
-// TestLongHorizonSparseFromStart covers the always-sparse configuration
-// and the degenerate-config errors.
-func TestLongHorizonSparseFromStart(t *testing.T) {
-	cfg := LongHorizonConfig{Periods: 120, Engine: core.EngineSparse, InducingPoints: 32, Buckets: 6}
-	tab, err := LongHorizon(tinyScale(), cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inducing, err := column(tab, "inducing", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range inducing {
-		if v <= 0 || v > 32 {
-			t.Fatalf("bucket %d: basis %v outside (0, 32]", i, v)
-		}
-	}
+func TestLongHorizonRejectsDegenerateHorizon(t *testing.T) {
 	if _, err := LongHorizon(tinyScale(), LongHorizonConfig{Periods: 1}, 3); err == nil {
 		t.Fatal("degenerate horizon accepted")
 	}

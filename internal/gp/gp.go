@@ -19,10 +19,10 @@ import (
 //     O(t²) per observation. An optional sliding window (MaxObservations)
 //     bounds memory and per-step cost for long runs by discarding the
 //     oldest observations via a factor downdate.
-//   - Sparse (NewSparse, ConvertToSparse): an online inducing-point DTC
-//     posterior over a fixed basis budget m; Add costs O(m²) and every
-//     posterior query O(m²) regardless of t, which is what makes
-//     unbounded-horizon runs affordable. The exact engine remains the
+//   - Sparse (NewSparse): an online inducing-point DTC posterior over a
+//     fixed basis budget m; Add costs O(m²) and every posterior query
+//     O(m²) regardless of t, which is what makes unbounded-horizon runs
+//     affordable. The exact engine remains the
 //     correctness oracle — equivalence tests bound the approximation
 //     error at small t. In sparse mode MaxObservations is ignored:
 //     eviction exists to cap exact-engine growth, and the basis budget
@@ -53,8 +53,8 @@ type GP struct {
 	maxObs int
 
 	// sp holds the inducing-point engine state; nil selects the exact
-	// engine. Set only at construction (NewSparse) or by the one-way
-	// ConvertToSparse, never flipped back.
+	// engine. Set only at construction (NewSparse); a GP never changes
+	// engine.
 	sp *sparseState
 
 	// evictions counts sliding-window evictions for diagnostics even when
@@ -157,9 +157,8 @@ func gram(k Kernel, noiseVar float64, xs []float64, n int) *linalg.Matrix {
 // labeled with the active engine so sparse and exact sweep latencies land
 // in separate series. Under the sparse engine it additionally registers
 // the inducing-set gauge and insert/swap counters. Call it before
-// concurrent use (and again after ConvertToSparse — registration is
-// idempotent per series); a nil registry leaves telemetry disabled at
-// zero cost on the inference hot path.
+// concurrent use; a nil registry leaves telemetry disabled at zero cost
+// on the inference hot path.
 func (g *GP) Instrument(reg *telemetry.Registry, objective string) {
 	g.met = gpMetrics{
 		observations: reg.Counter("edgebol_gp_observations_total", "gp", objective),

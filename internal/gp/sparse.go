@@ -193,52 +193,20 @@ func (g *GP) SparseConfigOf() SparseConfig {
 	return g.sp.cfg
 }
 
-// ConvertToSparse switches an exact GP to the inducing-point engine,
-// replaying its retained history through the streaming update path so the
-// result is identical to having run sparse from the first observation.
-// Conversion is one-way; it fails on a GP that is already sparse.
-//
-// The sliding-window bound stops applying after conversion: eviction
-// exists to cap the exact engine's O(t³) growth, and the sparse engine's
-// costs are bounded by the basis budget instead, so discarding history
-// would only lose information (see Add).
-func (g *GP) ConvertToSparse(cfg SparseConfig) error {
-	if g.sp != nil {
-		return fmt.Errorf("gp: already sparse")
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	xs, ys := g.xs, g.ys
-	g.xs, g.ys, g.chol, g.alpha = nil, nil, nil, nil
-	g.sp = newSparseState(cfg, g.dim)
-	for i := range ys {
-		g.ingestSparse(xs[i*g.dim:(i+1)*g.dim], ys[i])
-	}
-	g.met.inducing.Set(float64(g.sp.m))
-	return nil
-}
-
 // addSparse is the Add path of the sparse engine: decide basis membership,
 // retain the observation, fold it into the moments, and refresh telemetry.
+// The admission step sees the history *before* x — an inserted basis
+// point's moment row is built from past observations only — and the
+// learning step then adds x's own contribution over the (possibly grown)
+// basis, so the two passes never double-count.
 func (g *GP) addSparse(x []float64, y float64) error {
-	g.ingestSparse(x, y)
-	g.met.observations.Inc()
-	g.met.inducing.Set(float64(g.sp.m))
-	return nil
-}
-
-// ingestSparse runs one observation through admission and learning. The
-// admission step sees the history *before* x — an inserted basis point's
-// moment row is built from past observations only — and the learning step
-// then adds x's own contribution over the (possibly grown) basis, so the
-// two passes never double-count.
-func (g *GP) ingestSparse(x []float64, y float64) {
 	g.sparseAdmit(x)
 	g.xs = append(g.xs, x...)
 	g.ys = append(g.ys, y)
 	g.sparseLearn(x, y)
+	g.met.observations.Inc()
+	g.met.inducing.Set(float64(g.sp.m))
+	return nil
 }
 
 // sparseAdmit decides whether x joins the inducing set: under budget it is

@@ -207,73 +207,29 @@ func TestSparseSwapEvictsRedundantBasis(t *testing.T) {
 	}
 }
 
-// TestSparseEvictionNoOp: the sparse engine ignores the sliding-window
-// bound — history retention is unbounded and cheap, the basis budget is
-// what bounds cost. A windowed exact GP converted to sparse stops
-// evicting.
+// TestSparseEvictionNoOp: the sparse engine has no sliding window —
+// history retention is unbounded and cheap, the basis budget is what
+// bounds cost. A sparse GP never evicts and keeps its full history.
 func TestSparseEvictionNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := New(NewMatern32([]float64{0.8, 1.2}), 1e-2, 8)
-	for i := 0; i < 12; i++ {
+	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
 		if err := g.Add([]float64{rng.Float64(), rng.Float64()}, rng.NormFloat64()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if g.Evictions() == 0 {
-		t.Fatal("windowed exact GP should have evicted")
+	if g.Evictions() != 0 {
+		t.Fatalf("sparse engine evicted %d times", g.Evictions())
 	}
-	before := g.Evictions()
-	if err := g.ConvertToSparse(SparseConfig{MaxInducing: 16}); err != nil {
-		t.Fatal(err)
+	if g.Len() != n {
+		t.Fatalf("history %d, want %d", g.Len(), n)
 	}
-	for i := 0; i < 20; i++ {
-		if err := g.Add([]float64{rng.Float64(), rng.Float64()}, rng.NormFloat64()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.Evictions() != before {
-		t.Fatalf("sparse engine evicted: %d -> %d", before, g.Evictions())
-	}
-	if g.Len() != 8+20 {
-		t.Fatalf("history %d, want %d", g.Len(), 8+20)
-	}
-}
-
-// TestConvertToSparseMatchesFreshSparse: converting an exact GP replays
-// its history through the same admission path a from-scratch sparse GP
-// ran, so the two end bitwise identical.
-func TestConvertToSparseMatchesFreshSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 120; i++ {
-		xs = append(xs, []float64{rng.Float64(), rng.Float64()})
-		ys = append(ys, rng.NormFloat64())
-	}
-	cfg := SparseConfig{MaxInducing: 24}
-	_, fresh := sparsePair(t, cfg, xs, ys)
-	conv := New(NewMatern32([]float64{0.8, 1.2}), 1e-2, 0)
-	for i, x := range xs {
-		if err := conv.Add(x, ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := conv.ConvertToSparse(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if conv.InducingLen() != fresh.InducingLen() || conv.InducingSwaps() != fresh.InducingSwaps() {
-		t.Fatalf("conversion basis (m=%d swaps=%d) differs from fresh (m=%d swaps=%d)",
-			conv.InducingLen(), conv.InducingSwaps(), fresh.InducingLen(), fresh.InducingSwaps())
-	}
-	for _, c := range engineCandidates(40) {
-		mc, sc := conv.Posterior(c)
-		mf, sf := fresh.Posterior(c)
-		if !bitsEqual(mc, mf) || !bitsEqual(sc, sf) {
-			t.Fatalf("converted and fresh sparse diverge at %v: (%v,%v) vs (%v,%v)", c, mc, sc, mf, sf)
-		}
-	}
-	if err := conv.ConvertToSparse(cfg); err == nil {
-		t.Fatal("second conversion should fail")
+	if g.InducingLen() > 16 {
+		t.Fatalf("basis %d exceeds budget 16", g.InducingLen())
 	}
 }
 

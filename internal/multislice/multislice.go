@@ -54,8 +54,8 @@ func (c SliceConfig) Validate() error {
 	if err := c.Constraints.Validate(); err != nil {
 		return fmt.Errorf("multislice: %s: %w", c.Name, err)
 	}
-	if c.Weights.Delta1 < 0 || c.Weights.Delta2 < 0 || (c.Weights.Delta1 == 0 && c.Weights.Delta2 == 0) {
-		return fmt.Errorf("multislice: %s: invalid weights %+v", c.Name, c.Weights)
+	if err := c.Weights.Validate(); err != nil {
+		return fmt.Errorf("multislice: %s: %w", c.Name, err)
 	}
 	return nil
 }
