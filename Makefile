@@ -31,8 +31,11 @@ lint-baseline:
 	$(GO) run ./cmd/edgebol-lint -baseline .lint-baseline.json \
 		-write-baseline .lint-baseline.json ./...
 
+# vet also type-checks the arm64 build, so the non-amd64 fallbacks
+# (panel_noasm.go) and every test file compile off amd64.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 fmt:
 	gofmt -w .

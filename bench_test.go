@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/gp"
-	"repro/internal/linalg"
 	"repro/internal/ran"
 	"repro/internal/testbed"
 )
@@ -144,21 +143,13 @@ func BenchmarkAblationSafeSet(b *testing.B) {
 // BenchmarkAblationKernel compares the paper's Matérn-3/2 against
 // Matérn-5/2 and RBF.
 func BenchmarkAblationKernel(b *testing.B) {
-	factories := []struct {
-		name string
-		f    gp.KernelFactory
-	}{
-		{"matern32", gp.Matern32Factory},
-		{"matern52", gp.Matern52Factory},
-		{"rbf", gp.RBFFactory},
-	}
-	for _, k := range factories {
-		b.Run(k.name, func(b *testing.B) {
+	for _, family := range []gp.Family{gp.Matern32, gp.Matern52, gp.RBF} {
+		b.Run(family.String(), func(b *testing.B) {
 			var cost float64
 			var violations int
 			for i := 0; i < b.N; i++ {
 				opts := ablationOptions()
-				opts.KernelFactory = k.f
+				opts.Kernel = family
 				c, v := runAblationAgent(b, opts, 60, int64(i)+1)
 				cost += c
 				violations += v
@@ -298,16 +289,21 @@ func BenchmarkAblationAcquisition(b *testing.B) {
 func BenchmarkAblationCholesky(b *testing.B) {
 	const n = 150
 	rng := rand.New(rand.NewSource(1))
-	kern := gp.NewMatern32([]float64{0.5, 0.5, 0.5, 0.5})
+	kern, err := gp.NewKernel(gp.Matern32, []float64{0.5, 0.5, 0.5, 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
 	xs := make([][]float64, n)
+	ys := make([]float64, n)
 	for i := range xs {
 		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		ys[i] = float64(i)
 	}
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := gp.New(kern, 1e-3, 0)
 			for j, x := range xs {
-				if err := g.Add(x, float64(j)); err != nil {
+				if err := g.Add(x, ys[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -318,18 +314,7 @@ func BenchmarkAblationCholesky(b *testing.B) {
 			// Rebuild the full kernel matrix and factorize from scratch at
 			// every step, the O(t³)-per-period alternative.
 			for t := 1; t <= n; t++ {
-				k := linalg.NewMatrix(t, t)
-				for r := 0; r < t; r++ {
-					for c := 0; c <= r; c++ {
-						v := kern.Eval(xs[r], xs[c])
-						if r == c {
-							v += 1e-3
-						}
-						k.Set(r, c, v)
-						k.Set(c, r, v)
-					}
-				}
-				if _, err := linalg.NewCholesky(k); err != nil {
+				if _, err := gp.NewFromData(kern, 1e-3, 0, xs[:t], ys[:t]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -443,10 +443,6 @@ func (g *Graph) IsCond(n ast.Node) (*Block, bool) {
 	return b, ok
 }
 
-// BlockOf returns the block holding n, which must be a block-level node
-// (a member of some Block.Nodes); nil otherwise.
-func (g *Graph) BlockOf(n ast.Node) *Block { return g.nodeBlock[n] }
-
 // NodeAt returns the block-level node spanning pos and its block. An
 // unreachable statement (dead code after return) yields (nil, nil).
 func (g *Graph) NodeAt(pos token.Pos) (ast.Node, *Block) {

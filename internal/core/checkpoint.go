@@ -407,10 +407,10 @@ func mismatch(field string, ckpt, opts any) error {
 // LoadCheckpoint constructs a fresh agent from opts and restores a
 // checkpoint stream into it. The caller supplies the same Options the
 // checkpointed agent was built with — the checkpoint carries the learned
-// state, not the code-level configuration (kernel factories and telemetry
-// registries cannot be serialized) — and LoadCheckpoint verifies, bitwise,
-// every piece of fixed configuration the checkpoint does record: grid,
-// betas, acquisition, modes, normalization, safe seed, and each GP's
+// state, not the code-level configuration (telemetry registries cannot be
+// serialized) — and LoadCheckpoint verifies, bitwise, every piece of fixed
+// configuration the checkpoint does record: grid, betas, acquisition,
+// modes, normalization, safe seed, and each GP's kernel family and
 // hyperparameters. A mismatch wraps ErrCheckpointMismatch.
 //
 // Runtime-mutable state is restored from the checkpoint, overriding opts:

@@ -72,14 +72,6 @@ func assertSameSteps(t *testing.T, got, want []stepResult) {
 	}
 }
 
-// wrappedKernel hides a package kernel behind a foreign type that
-// gp.NewSweepPlan cannot factorize, so NewAgent must reject it.
-type wrappedKernel struct{ gp.Kernel }
-
-func wrappedFactory(ls []float64) gp.Kernel {
-	return &wrappedKernel{gp.Matern32Factory(ls)}
-}
-
 func testOptions() Options {
 	return Options{
 		Grid:        GridSpec{Levels: 3, MinResolution: 0.2, MinAirtime: 0.2},
@@ -260,7 +252,7 @@ func TestLoadCheckpointRejectsMismatchedConfig(t *testing.T) {
 			}
 			o.LengthScales = ls
 		}},
-		{"kernel family", func(o *Options) { o.KernelFactory = gp.RBFFactory }},
+		{"kernel family", func(o *Options) { o.Kernel = gp.RBF }},
 		{"weights (joint mode)", func(o *Options) {
 			o.Weights = CostWeights{Delta1: 2e-3, Delta2: 2e-2}
 			// Pin the normalization so only the weight check can trip:
@@ -388,16 +380,5 @@ func TestLoadCheckpointRejectsUnknownCriticalSection(t *testing.T) {
 		if _, err := LoadCheckpoint(bytes.NewReader(withExtra(tag)), opts); err != nil {
 			t.Fatalf("unknown ancillary section %q rejected: %v", tag, err)
 		}
-	}
-}
-
-// TestNewAgentRejectsUnsupportedKernel: a kernel the sweep plan cannot
-// factorize has no selection path, so construction fails with
-// gp.ErrUnsupportedKernel.
-func TestNewAgentRejectsUnsupportedKernel(t *testing.T) {
-	opts := testOptions()
-	opts.KernelFactory = wrappedFactory
-	if _, err := NewAgent(opts); !errors.Is(err, gp.ErrUnsupportedKernel) {
-		t.Fatalf("err = %v, want gp.ErrUnsupportedKernel", err)
 	}
 }

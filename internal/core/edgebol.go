@@ -104,9 +104,11 @@ type Options struct {
 	// the β-inflated confidence bound never certifies any unobserved
 	// control and the agent stays pinned to S₀ — so nil defaults to
 	// ≈10 grid steps on the control dimensions and 0.6 on the context
-	// dimensions. KernelFactory defaults to the paper's Matérn-3/2.
-	LengthScales  []float64
-	KernelFactory gp.KernelFactory
+	// dimensions.
+	LengthScales []float64
+	// Kernel is the covariance family of every GP; the zero value is the
+	// paper's Matérn-3/2 (eq. 6).
+	Kernel gp.Family
 	// LengthScalesPerGP optionally overrides LengthScales per objective
 	// (0 = cost, 1 = delay, 2 = mAP) — the paper fits hyperparameters for
 	// each function i separately on prior data (§5 "Kernel selection").
@@ -248,9 +250,6 @@ func (o *Options) applyDefaults() error {
 				return fmt.Errorf("core: length scale %v must be positive", l)
 			}
 		}
-	}
-	if o.KernelFactory == nil {
-		o.KernelFactory = gp.Matern32Factory
 	}
 	defNoise := [3]float64{1e-3, 2e-2, 6e-2}
 	for i := range o.NoiseVars {
@@ -462,9 +461,7 @@ type SelectionInfo struct {
 	SweepSeconds float64
 }
 
-// NewAgent builds an EdgeBOL agent. A kernel factory whose kernels
-// gp.NewSweepPlan cannot factorize is rejected with an error wrapping
-// gp.ErrUnsupportedKernel.
+// NewAgent builds an EdgeBOL agent.
 func NewAgent(opts Options) (*Agent, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
@@ -477,10 +474,14 @@ func NewAgent(opts Options) (*Agent, error) {
 		adaptive: opts.Acquisition == AcqAuto && opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt,
 	}
 	newGP := func(ls []float64, noiseVar float64) (*gp.GP, error) {
-		if opts.Engine == EngineSparse {
-			return gp.NewSparse(opts.KernelFactory(ls), noiseVar, gp.SparseConfig{MaxInducing: opts.InducingPoints})
+		k, err := gp.NewKernel(opts.Kernel, ls)
+		if err != nil {
+			return nil, err
 		}
-		return gp.New(opts.KernelFactory(ls), noiseVar, opts.MaxObservations), nil
+		if opts.Engine == EngineSparse {
+			return gp.NewSparse(k, noiseVar, gp.SparseConfig{MaxInducing: opts.InducingPoints})
+		}
+		return gp.New(k, noiseVar, opts.MaxObservations), nil
 	}
 	for i := range a.gps {
 		ls := opts.LengthScales
@@ -548,9 +549,7 @@ func NewAgent(opts Options) (*Agent, error) {
 }
 
 // buildPlans builds the per-objective grid sweep plans from the grid's
-// level values. Each plan tracks its GP's basis as it grows. A kernel the
-// plan cannot factorize fails the build with an error wrapping
-// gp.ErrUnsupportedKernel.
+// level values. Each plan tracks its GP's basis as it grows.
 func (a *Agent) buildPlans() error {
 	levelVals, err := a.opts.Grid.LevelValues()
 	if err != nil {

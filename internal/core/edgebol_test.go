@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/gp"
 )
 
 // quadEnv is a synthetic environment with a known optimum: cost falls with
@@ -95,6 +97,7 @@ func TestNewAgentValidation(t *testing.T) {
 		{"observation bound 1", func(o *Options) { o.MaxObservations = 1 }},
 		{"zero length scale", func(o *Options) { o.LengthScales = lengthScales(0) }},
 		{"nan length scale", func(o *Options) { o.LengthScales = lengthScales(nan) }},
+		{"unknown kernel family", func(o *Options) { o.Kernel = gp.RBF + 1 }},
 		{"zero per-GP length scale", func(o *Options) { o.LengthScalesPerGP[gpDelay] = lengthScales(0) }},
 		{"nan noise variance", func(o *Options) { o.NoiseVars[0] = nan }},
 		{"inf noise variance", func(o *Options) { o.NoiseVars[1] = inf }},

@@ -39,8 +39,9 @@ type PretrainOptions struct {
 	Samples int
 	// FitIterations is the random-search budget per objective (default 60).
 	FitIterations int
-	// KernelFactory selects the kernel family (default Matérn-3/2).
-	KernelFactory gp.KernelFactory
+	// Kernel is the covariance family fitted; the zero value is the
+	// paper's Matérn-3/2.
+	Kernel gp.Family
 	// Norm maps raw KPIs to GP targets; zero-valued transforms default to
 	// DefaultNormalization(weights).
 	Norm Normalization
@@ -74,9 +75,6 @@ func Pretrain(env Environment, grid GridSpec, w CostWeights, opts PretrainOption
 	if opts.FitIterations == 0 {
 		opts.FitIterations = 60
 	}
-	if opts.KernelFactory == nil {
-		opts.KernelFactory = gp.Matern32Factory
-	}
 	def := DefaultNormalization(w)
 	if opts.Norm.Cost == (Affine{}) {
 		opts.Norm.Cost = def.Cost
@@ -87,17 +85,13 @@ func Pretrain(env Environment, grid GridSpec, w CostWeights, opts PretrainOption
 	if opts.Norm.MAP == (Affine{}) {
 		opts.Norm.MAP = def.MAP
 	}
-	ctls, err := grid.Enumerate()
-	if err != nil {
-		return PretrainResult{}, err
-	}
 	rng := rand.New(rand.NewSource(seed))
 
 	// Collect the prior dataset.
 	xs := make([][]float64, 0, opts.Samples)
 	var ys [3][]float64
 	for i := 0; i < opts.Samples; i++ {
-		x := ctls[rng.Intn(len(ctls))]
+		x := grid.At(rng.Intn(grid.Size()))
 		ctx := env.Context()
 		k, err := env.Measure(x)
 		if err != nil {
@@ -127,7 +121,7 @@ func Pretrain(env Environment, grid GridSpec, w CostWeights, opts PretrainOption
 	}
 	res := PretrainResult{Samples: opts.Samples}
 	for i := 0; i < 3; i++ {
-		hp, ll, err := gp.Fit(opts.KernelFactory, xs, ys[i], fitOpts)
+		hp, ll, err := gp.Fit(opts.Kernel, xs, ys[i], fitOpts)
 		if err != nil {
 			return PretrainResult{}, fmt.Errorf("core: fitting objective %d: %w", i, err)
 		}

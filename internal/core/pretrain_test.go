@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -40,6 +41,25 @@ func TestPretrainValidation(t *testing.T) {
 	}
 	if _, err := Pretrain(env, testGrid(), w, PretrainOptions{Samples: 3}, 1); err == nil {
 		t.Fatal("expected error for too few samples")
+	}
+}
+
+// TestPretrainIndexesTheGrid runs Pretrain on the 31⁴×8 grid, whose
+// enumeration alone takes about 280 MiB: the samples must be drawn by
+// grid index, not from a materialized grid.
+func TestPretrainIndexesTheGrid(t *testing.T) {
+	env := &quadEnv{ctx: Context{NumUsers: 1, MeanCQI: 15}}
+	w := CostWeights{Delta1: 1, Delta2: 1}
+	grid := GridSpec{Levels: 31, MinResolution: 0.1, MinAirtime: 0.1,
+		LevelsPerDim: [ControlDims]int{31, 31, 31, 31, 8}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Pretrain(env, grid, w, PretrainOptions{Samples: 8, FitIterations: 1, Norm: quadNorm()}, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("Pretrain allocated %.1f MiB on a %d-point grid, want at most 64 MiB", float64(got)/(1<<20), grid.Size())
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/ran"
 	"repro/internal/testbed"
@@ -208,21 +206,4 @@ func Fig5(scale Scale, seed int64) (*Table, error) {
 // inverts for high-resolution traffic.
 func Fig6(scale Scale, seed int64) (*Table, error) {
 	return figBSPower("fig6", "BS power vs MCS x airtime x resolution (10x load)", 10, scale, seed)
-}
-
-// SweepAll runs every §3 measurement figure.
-func SweepAll(scale Scale, seed int64) ([]*Table, error) {
-	type gen struct {
-		name string
-		fn   func(Scale, int64) (*Table, error)
-	}
-	var out []*Table
-	for _, g := range []gen{{"fig1", Fig1}, {"fig2", Fig2}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6}} {
-		t, err := g.fn(scale, seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: %w", g.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -18,7 +18,7 @@ func benchGP(b *testing.B, t int) *GP {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2}
-	g := New(NewMatern32(ls), 1e-3, 0)
+	g := New(mustKernel(Matern32, ls), 1e-3, 0)
 	for i := 0; i < t; i++ {
 		x := make([]float64, benchDims)
 		for d := range x {
@@ -37,7 +37,7 @@ func benchSparseGP(b *testing.B, t, m int) *GP {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2}
-	g, err := NewSparse(NewMatern32(ls), 1e-3, SparseConfig{MaxInducing: m})
+	g, err := NewSparse(mustKernel(Matern32, ls), 1e-3, SparseConfig{MaxInducing: m})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // sliding-window bound.
 func engineGP(t *testing.T, n, window int) *GP {
 	t.Helper()
-	g := New(NewMatern32([]float64{0.4, 0.8}), 1e-3, window)
+	g := New(mustKernel(Matern32, []float64{0.4, 0.8}), 1e-3, window)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
@@ -99,7 +99,7 @@ func TestConcurrentPosteriorReads(t *testing.T) {
 // magnitude above the 1e-12 gate.
 func TestEvictionRebuildMatchesBatchFit(t *testing.T) {
 	const window = 8
-	w := New(NewMatern32([]float64{0.4, 0.8}), 1e-3, window)
+	w := New(mustKernel(Matern32, []float64{0.4, 0.8}), 1e-3, window)
 	rng := rand.New(rand.NewSource(42))
 	var xs [][]float64
 	var ys []float64
@@ -138,20 +138,17 @@ func TestEvictionRebuildMatchesBatchFit(t *testing.T) {
 }
 
 // TestEvalBatchAgreesWithEval checks the bulk kernel path against the
-// scalar one for every kernel family, including a padded-stride matrix.
-// The batch path multiplies by reciprocal length scales where Eval
-// divides, so agreement is to rounding tolerance, not bitwise.
+// per-pair reference formula refEval for every kernel family, including a
+// padded-stride matrix. The batch path multiplies by reciprocal length
+// scales where the reference divides, so agreement is to rounding
+// tolerance, not bitwise.
 func TestEvalBatchAgreesWithEval(t *testing.T) {
 	ls := []float64{0.4, 0.8, 1.3}
-	kernels := map[string]Kernel{
-		"matern32": NewMatern32(ls),
-		"matern52": NewMatern52(ls),
-		"rbf":      NewRBF(ls),
-	}
 	rng := rand.New(rand.NewSource(9))
 	const rows = 37
-	for name, k := range kernels {
-		t.Run(name, func(t *testing.T) {
+	for _, f := range families {
+		k := mustKernel(f, ls)
+		t.Run(f.String(), func(t *testing.T) {
 			for _, stride := range []int{3, 5} {
 				xs := make([]float64, rows*stride)
 				for i := range xs {
@@ -161,9 +158,9 @@ func TestEvalBatchAgreesWithEval(t *testing.T) {
 				out := make([]float64, rows)
 				k.EvalBatch(xs, stride, z, out)
 				for i := 0; i < rows; i++ {
-					want := k.Eval(xs[i*stride:i*stride+3], z)
+					want := refEval(f, ls, xs[i*stride:i*stride+3], z)
 					if math.Abs(out[i]-want) > 1e-12 {
-						t.Fatalf("stride %d row %d: EvalBatch %v vs Eval %v", stride, i, out[i], want)
+						t.Fatalf("stride %d row %d: EvalBatch %v vs reference %v", stride, i, out[i], want)
 					}
 				}
 			}
@@ -172,7 +169,7 @@ func TestEvalBatchAgreesWithEval(t *testing.T) {
 }
 
 func TestEvalBatchValidation(t *testing.T) {
-	k := NewMatern32([]float64{0.5, 0.5})
+	k := mustKernel(Matern32, []float64{0.5, 0.5})
 	expectPanic := func(name string, fn func()) {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

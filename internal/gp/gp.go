@@ -41,7 +41,7 @@ import (
 //
 // The zero value is not usable; construct with New or NewFromData.
 type GP struct {
-	kernel   Kernel
+	kernel   *Kernel
 	noiseVar float64
 	dim      int
 
@@ -79,9 +79,9 @@ type gpMetrics struct {
 
 // New returns a GP with the given kernel and observation-noise variance.
 // maxObservations bounds the retained history (0 means unlimited); when the
-// bound is hit the oldest half of the observations is discarded and the
-// factor rebuilt, amortizing to O(t²) per step.
-func New(kernel Kernel, noiseVar float64, maxObservations int) *GP {
+// bound is hit the oldest half of the observations is dropped with a factor
+// downdate (see evict), amortizing to O(t²) per step.
+func New(kernel *Kernel, noiseVar float64, maxObservations int) *GP {
 	if kernel == nil {
 		panic("gp: nil kernel")
 	}
@@ -100,7 +100,7 @@ func New(kernel Kernel, noiseVar float64, maxObservations int) *GP {
 // NewFromData builds a GP on a full prior dataset at once: one Gram-matrix
 // build and one O(n³) factorization instead of n incremental O(n²)
 // appends. It validates like New plus per-observation like Add.
-func NewFromData(kernel Kernel, noiseVar float64, maxObservations int, xs [][]float64, ys []float64) (*GP, error) {
+func NewFromData(kernel *Kernel, noiseVar float64, maxObservations int, xs [][]float64, ys []float64) (*GP, error) {
 	g := New(kernel, noiseVar, maxObservations)
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("gp: %d inputs but %d targets", len(xs), len(ys))
@@ -133,13 +133,12 @@ func NewFromData(kernel Kernel, noiseVar float64, maxObservations int, xs [][]fl
 }
 
 // gram builds the noise-regularized kernel (Gram) matrix K + ζ²·I of the n
-// flat row-major inputs. It is the single construction path shared by
-// batch fitting (NewFromData, hyperparameter evidence) and the
-// post-eviction factor rebuild.
-func gram(k Kernel, noiseVar float64, xs []float64, n int) *linalg.Matrix {
+// flat row-major inputs for batch fitting (NewFromData, and through it the
+// hyperparameter evidence).
+func gram(k *Kernel, noiseVar float64, xs []float64, n int) *linalg.Matrix {
 	dim := k.Dim()
 	m := linalg.NewMatrix(n, n)
-	diag := k.Prior() + noiseVar
+	diag := priorVar + noiseVar
 	for i := 0; i < n; i++ {
 		row := m.Row(i)
 		k.EvalBatch(xs, dim, xs[i*dim:(i+1)*dim], row[:i])
@@ -191,7 +190,7 @@ func (g *GP) basisGen() uint64 {
 }
 
 // Kernel returns the kernel in use.
-func (g *GP) Kernel() Kernel { return g.kernel }
+func (g *GP) Kernel() *Kernel { return g.kernel }
 
 // NoiseVar returns the observation-noise variance ζ².
 func (g *GP) NoiseVar() float64 { return g.noiseVar }
@@ -260,7 +259,7 @@ func (g *GP) Add(x []float64, y float64) error {
 		g.evict(g.maxObs / 2)
 	}
 	n := g.Len()
-	diag := g.kernel.Prior() + g.noiseVar
+	diag := priorVar + g.noiseVar
 	if n == 0 {
 		chol, err := linalg.NewCholesky(linalg.NewMatrixFrom(1, 1, []float64{diag}))
 		if err != nil {
@@ -311,11 +310,9 @@ func (g *GP) Posterior(x []float64) (mu, sigma float64) {
 	if len(x) != g.dim {
 		panic(fmt.Sprintf("gp: input dimension %d does not match kernel dimension %d", len(x), g.dim))
 	}
-	prior := g.kernel.Prior()
 	n := g.basisLen()
 	if n == 0 {
-		//edgebol:allow nanguard -- prior variance is positive by the Kernel contract (Prior is k(x,x) > 0)
-		return 0, math.Sqrt(prior)
+		return 0, math.Sqrt(priorVar)
 	}
 	k := make([]float64, n)
 	g.kernel.EvalBatch(g.basisXs(), g.dim, x, k)
@@ -326,7 +323,7 @@ func (g *GP) Posterior(x []float64) (mu, sigma float64) {
 		kq := append([]float64(nil), k...)
 		sp.cholKmm.ForwardSolveBatch([][]float64{kq})
 		sp.cholSig.ForwardSolveBatch([][]float64{k})
-		v := prior - linalg.Dot(kq, kq) + linalg.Dot(k, k)
+		v := priorVar - linalg.Dot(kq, kq) + linalg.Dot(k, k)
 		if v < 0 {
 			v = 0
 		}
@@ -335,7 +332,7 @@ func (g *GP) Posterior(x []float64) (mu, sigma float64) {
 	mu = linalg.Dot(k, g.alpha)
 	// v = L⁻¹ k; var = k(x,x) − ‖v‖².
 	g.chol.ForwardSolveBatch([][]float64{k})
-	v := prior - linalg.Dot(k, k)
+	v := priorVar - linalg.Dot(k, k)
 	if v < 0 {
 		v = 0
 	}

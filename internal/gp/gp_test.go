@@ -8,7 +8,7 @@ import (
 )
 
 func newTestGP() *GP {
-	return New(NewMatern32([]float64{0.5}), 1e-4, 0)
+	return New(mustKernel(Matern32, []float64{0.5}), 1e-4, 0)
 }
 
 func TestPriorPosterior(t *testing.T) {
@@ -96,7 +96,7 @@ func TestAddCopiesInput(t *testing.T) {
 }
 
 func TestSlidingWindowEviction(t *testing.T) {
-	g := New(NewMatern32([]float64{0.5}), 1e-4, 10)
+	g := New(mustKernel(Matern32, []float64{0.5}), 1e-4, 10)
 	for i := 0; i < 25; i++ {
 		if err := g.Add([]float64{float64(i) / 25}, float64(i)); err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestSlidingWindowEviction(t *testing.T) {
 func TestWindowedMatchesUnwindowedOnRecentData(t *testing.T) {
 	// After eviction, the windowed GP must equal a fresh GP trained on the
 	// surviving observations.
-	w := New(NewMatern32([]float64{0.3}), 1e-3, 6)
+	w := New(mustKernel(Matern32, []float64{0.3}), 1e-3, 6)
 	var xs [][]float64
 	var ys []float64
 	rng := rand.New(rand.NewSource(11))
@@ -129,7 +129,7 @@ func TestWindowedMatchesUnwindowedOnRecentData(t *testing.T) {
 		}
 	}
 	// Window 6 hit at i=6: drops 3, keeps xs[3:]. No further eviction by i=8.
-	fresh := New(NewMatern32([]float64{0.3}), 1e-3, 0)
+	fresh := New(mustKernel(Matern32, []float64{0.3}), 1e-3, 0)
 	for i := 3; i < 9; i++ {
 		if err := fresh.Add(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLogMarginalLikelihoodPrefersTruth(t *testing.T) {
 		ys[i] = math.Sin(4*x) + 0.01*rng.NormFloat64()
 	}
 	ll := func(scale float64) float64 {
-		g := New(NewMatern32([]float64{scale}), 1e-3, 0)
+		g := New(mustKernel(Matern32, []float64{scale}), 1e-3, 0)
 		for i := range xs {
 			if err := g.Add(xs[i], ys[i]); err != nil {
 				t.Fatal(err)
@@ -179,7 +179,7 @@ func TestLogMarginalLikelihoodPrefersTruth(t *testing.T) {
 func TestPosteriorVarianceShrinks(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New(NewMatern32([]float64{0.5, 0.5}), 1e-3, 0)
+		g := New(mustKernel(Matern32, []float64{0.5, 0.5}), 1e-3, 0)
 		for i := 0; i < 8; i++ {
 			x := []float64{rng.Float64(), rng.Float64()}
 			if err := g.Add(x, rng.NormFloat64()); err != nil {
@@ -205,7 +205,7 @@ func TestPosteriorVarianceShrinks(t *testing.T) {
 func TestVarianceMonotoneAtObservedPoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := New(NewMatern32([]float64{0.7}), 1e-3, 0)
+		g := New(mustKernel(Matern32, []float64{0.7}), 1e-3, 0)
 		q := []float64{rng.Float64()}
 		_, before := g.Posterior(q)
 		if err := g.Add(q, rng.NormFloat64()); err != nil {
@@ -222,10 +222,10 @@ func TestVarianceMonotoneAtObservedPoint(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(nil, 1e-3, 0) },
-		func() { New(NewMatern32([]float64{1}), 0, 0) },
-		func() { New(NewMatern32([]float64{1}), -1, 0) },
-		func() { New(NewMatern32([]float64{1}), 1e-3, -1) },
-		func() { New(NewMatern32([]float64{1}), 1e-3, 1) },
+		func() { New(mustKernel(Matern32, []float64{1}), 0, 0) },
+		func() { New(mustKernel(Matern32, []float64{1}), -1, 0) },
+		func() { New(mustKernel(Matern32, []float64{1}), 1e-3, -1) },
+		func() { New(mustKernel(Matern32, []float64{1}), 1e-3, 1) },
 	} {
 		func() {
 			defer func() {

@@ -17,19 +17,6 @@ type Hyperparams struct {
 	NoiseVar     float64
 }
 
-// KernelFactory builds a kernel from fitted length scales, letting the
-// hyperparameter search be reused across kernel families.
-type KernelFactory func(lengthScales []float64) Kernel
-
-// Matern32Factory builds Matérn-3/2 kernels (the paper's choice).
-func Matern32Factory(ls []float64) Kernel { return NewMatern32(ls) }
-
-// Matern52Factory builds Matérn-5/2 kernels.
-func Matern52Factory(ls []float64) Kernel { return NewMatern52(ls) }
-
-// RBFFactory builds squared-exponential kernels.
-func RBFFactory(ls []float64) Kernel { return NewRBF(ls) }
-
 // FitOptions controls the random-search hyperparameter fit.
 type FitOptions struct {
 	// Iterations is the number of random candidates evaluated.
@@ -65,15 +52,15 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 	return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
 }
 
-// Fit searches hyperparameters maximizing the log marginal likelihood of
-// the prior dataset (xs, ys) via random search. It returns the best
-// hyperparameters found and their likelihood.
+// Fit searches hyperparameters of a kernel of the given family maximizing
+// the log marginal likelihood of the prior dataset (xs, ys) via random
+// search. It returns the best hyperparameters found and their likelihood.
 //
 // Random search is deliberate: the likelihood surface over a handful of
 // length scales is cheap to probe, derivative-free search is robust to its
 // multi-modality, and the paper freezes hyperparameters after this offline
 // phase anyway.
-func Fit(factory KernelFactory, xs [][]float64, ys []float64, opts FitOptions) (Hyperparams, float64, error) {
+func Fit(family Family, xs [][]float64, ys []float64, opts FitOptions) (Hyperparams, float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return Hyperparams{}, 0, fmt.Errorf("gp: Fit needs matching non-empty data, got %d inputs and %d targets", len(xs), len(ys))
 	}
@@ -94,8 +81,12 @@ func Fit(factory KernelFactory, xs [][]float64, ys []float64, opts FitOptions) (
 			ls[d] = logUniform(opts.Rand, opts.LengthScaleMin, opts.LengthScaleMax)
 		}
 		noise := logUniform(opts.Rand, opts.NoiseVarMin, opts.NoiseVarMax)
+		k, err := NewKernel(family, ls)
+		if err != nil {
+			return Hyperparams{}, 0, err
+		}
 		evals.Inc()
-		ll, err := evidence(factory(ls), noise, xs, ys)
+		ll, err := evidence(k, noise, xs, ys)
 		if err != nil {
 			failures.Inc()
 			continue
@@ -112,9 +103,9 @@ func Fit(factory KernelFactory, xs [][]float64, ys []float64, opts FitOptions) (
 }
 
 // evidence computes the log marginal likelihood of (xs, ys) under the given
-// kernel and noise by fitting a throwaway GP in one batch factorization —
-// the Gram-matrix build is shared with the GP's own eviction rebuild.
-func evidence(k Kernel, noiseVar float64, xs [][]float64, ys []float64) (float64, error) {
+// kernel and noise by fitting a throwaway GP in one batch factorization
+// (NewFromData).
+func evidence(k *Kernel, noiseVar float64, xs [][]float64, ys []float64) (float64, error) {
 	g, err := NewFromData(k, noiseVar, 0, xs, ys)
 	if err != nil {
 		return 0, err

@@ -20,7 +20,7 @@ func syntheticData(rng *rand.Rand, n int, noise float64) ([][]float64, []float64
 func TestFitRecoversReasonableModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs, ys := syntheticData(rng, 40, 0.05)
-	hp, ll, err := Fit(Matern32Factory, xs, ys, DefaultFitOptions(rng))
+	hp, ll, err := Fit(Matern32, xs, ys, DefaultFitOptions(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFitRecoversReasonableModel(t *testing.T) {
 		t.Fatalf("fitted non-positive noise %v", hp.NoiseVar)
 	}
 	// The fitted model must beat a deliberately bad one.
-	bad, err2 := evidence(NewMatern32([]float64{1e-3, 1e-3}), 1e-6, xs, ys)
+	bad, err2 := evidence(mustKernel(Matern32, []float64{1e-3, 1e-3}), 1e-6, xs, ys)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -43,21 +43,21 @@ func TestFitRecoversReasonableModel(t *testing.T) {
 func TestFitValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	opts := DefaultFitOptions(rng)
-	if _, _, err := Fit(Matern32Factory, nil, nil, opts); err == nil {
+	if _, _, err := Fit(Matern32, nil, nil, opts); err == nil {
 		t.Fatal("expected error for empty data")
 	}
 	xs, ys := syntheticData(rng, 5, 0)
-	if _, _, err := Fit(Matern32Factory, xs, ys[:3], opts); err == nil {
+	if _, _, err := Fit(Matern32, xs, ys[:3], opts); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
 	badOpts := opts
 	badOpts.Rand = nil
-	if _, _, err := Fit(Matern32Factory, xs, ys, badOpts); err == nil {
+	if _, _, err := Fit(Matern32, xs, ys, badOpts); err == nil {
 		t.Fatal("expected error for nil Rand")
 	}
 	badOpts = opts
 	badOpts.Iterations = 0
-	if _, _, err := Fit(Matern32Factory, xs, ys, badOpts); err == nil {
+	if _, _, err := Fit(Matern32, xs, ys, badOpts); err == nil {
 		t.Fatal("expected error for zero iterations")
 	}
 }
@@ -69,11 +69,11 @@ func TestFitGeneralizes(t *testing.T) {
 	trainX, trainY := syntheticData(rng, 50, 0.05)
 	testX, testY := syntheticData(rng, 20, 0.0)
 
-	hp, _, err := Fit(Matern32Factory, trainX, trainY, DefaultFitOptions(rng))
+	hp, _, err := Fit(Matern32, trainX, trainY, DefaultFitOptions(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(NewMatern32(hp.LengthScales), hp.NoiseVar, 0)
+	g := New(mustKernel(Matern32, hp.LengthScales), hp.NoiseVar, 0)
 	for i := range trainX {
 		if err := g.Add(trainX[i], trainY[i]); err != nil {
 			t.Fatal(err)
@@ -90,12 +90,22 @@ func TestFitGeneralizes(t *testing.T) {
 	}
 }
 
+// TestFactories fits a kernel of every family and rejects an unknown one.
 func TestFactories(t *testing.T) {
-	ls := []float64{0.5, 1}
-	for _, f := range []KernelFactory{Matern32Factory, Matern52Factory, RBFFactory} {
-		k := f(ls)
-		if k.Dim() != 2 {
-			t.Fatalf("factory produced kernel of dim %d", k.Dim())
+	rng := rand.New(rand.NewSource(4))
+	xs, ys := syntheticData(rng, 10, 0.05)
+	opts := DefaultFitOptions(rng)
+	opts.Iterations = 3
+	for _, f := range families {
+		hp, _, err := Fit(f, xs, ys, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
 		}
+		if len(hp.LengthScales) != 2 {
+			t.Fatalf("%v: fitted %d length scales, want 2", f, len(hp.LengthScales))
+		}
+	}
+	if _, _, err := Fit(RBF+1, xs, ys, opts); err == nil {
+		t.Fatal("expected error for an unknown family")
 	}
 }

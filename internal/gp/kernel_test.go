@@ -7,8 +7,52 @@ import (
 	"testing/quick"
 )
 
-func kernels(ls []float64) []Kernel {
-	return []Kernel{NewMatern32(ls), NewMatern52(ls), NewRBF(ls)}
+var families = []Family{Matern32, Matern52, RBF}
+
+// mustKernel builds a kernel for tests, panicking on invalid input.
+func mustKernel(f Family, ls []float64) *Kernel {
+	k, err := NewKernel(f, ls)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+func kernels(ls []float64) []*Kernel {
+	out := make([]*Kernel, len(families))
+	for i, f := range families {
+		out[i] = mustKernel(f, ls)
+	}
+	return out
+}
+
+// refEval is the textbook kernel formula the production path is checked
+// against: the scaled squared distance of paper eq. 5 with a division per
+// dimension, then each family's covariance written out per pair.
+func refEval(f Family, ls, a, b []float64) float64 {
+	var s float64
+	for i, l := range ls {
+		d := (a[i] - b[i]) / l
+		s += d * d
+	}
+	switch f {
+	case Matern32:
+		d := math.Sqrt(3 * s)
+		return (1 + d) * math.Exp(-d)
+	case Matern52:
+		s2 := 5 * s
+		d := math.Sqrt(s2)
+		return (1 + d + s2/3) * math.Exp(-d)
+	default:
+		return math.Exp(-0.5 * s)
+	}
+}
+
+// eval returns k(a, b) through the production path, a one-row EvalBatch.
+func eval(k *Kernel, a, b []float64) float64 {
+	var out [1]float64
+	k.EvalBatch(a, len(a), b, out[:])
+	return out[0]
 }
 
 func randVec(rng *rand.Rand, d int) []float64 {
@@ -24,8 +68,8 @@ func TestKernelSelfCovarianceIsOne(t *testing.T) {
 	for _, k := range kernels([]float64{0.5, 1.5, 2}) {
 		for trial := 0; trial < 20; trial++ {
 			x := randVec(rng, 3)
-			if v := k.Eval(x, x); math.Abs(v-1) > 1e-12 {
-				t.Fatalf("%T: k(x,x) = %v, want 1", k, v)
+			if v := eval(k, x, x); math.Abs(v-1) > 1e-12 {
+				t.Fatalf("%v: k(x,x) = %v, want 1", k.family, v)
 			}
 		}
 	}
@@ -37,7 +81,7 @@ func TestKernelSymmetry(t *testing.T) {
 		ls := []float64{0.3, 0.7, 1.1, 2.2}
 		a, b := randVec(rng, 4), randVec(rng, 4)
 		for _, k := range kernels(ls) {
-			if math.Abs(k.Eval(a, b)-k.Eval(b, a)) > 1e-14 {
+			if math.Abs(eval(k, a, b)-eval(k, b, a)) > 1e-14 {
 				return false
 			}
 		}
@@ -53,7 +97,7 @@ func TestKernelBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randVec(rng, 2), randVec(rng, 2)
 		for _, k := range kernels([]float64{0.4, 0.9}) {
-			v := k.Eval(a, b)
+			v := eval(k, a, b)
 			if v < 0 || v > 1+1e-12 {
 				return false
 			}
@@ -70,9 +114,9 @@ func TestKernelMonotoneDecayWithDistance(t *testing.T) {
 	for _, k := range kernels([]float64{1}) {
 		prev := math.Inf(1)
 		for d := 0.0; d <= 5; d += 0.25 {
-			v := k.Eval([]float64{0}, []float64{d})
+			v := eval(k, []float64{0}, []float64{d})
 			if v > prev+1e-12 {
-				t.Fatalf("%T: covariance not monotone at distance %v", k, d)
+				t.Fatalf("%v: covariance not monotone at distance %v", k.family, d)
 			}
 			prev = v
 		}
@@ -82,9 +126,9 @@ func TestKernelMonotoneDecayWithDistance(t *testing.T) {
 func TestKernelAnisotropy(t *testing.T) {
 	// A short length scale on dim 0 makes displacement there decay faster
 	// than the same displacement on dim 1.
-	k := NewMatern32([]float64{0.1, 10})
-	near := k.Eval([]float64{0, 0}, []float64{0, 1})
-	far := k.Eval([]float64{0, 0}, []float64{1, 0})
+	k := mustKernel(Matern32, []float64{0.1, 10})
+	near := eval(k, []float64{0, 0}, []float64{0, 1})
+	far := eval(k, []float64{0, 0}, []float64{1, 0})
 	if far >= near {
 		t.Fatalf("anisotropy broken: along-short-scale %v >= along-long-scale %v", far, near)
 	}
@@ -99,7 +143,7 @@ func TestKernelStationarity(t *testing.T) {
 			as[i], bs[i] = a[i]+shift[i], b[i]+shift[i]
 		}
 		for _, k := range kernels([]float64{0.5, 1, 2}) {
-			if math.Abs(k.Eval(a, b)-k.Eval(as, bs)) > 1e-10 {
+			if math.Abs(eval(k, a, b)-eval(k, as, bs)) > 1e-10 {
 				return false
 			}
 		}
@@ -110,44 +154,51 @@ func TestKernelStationarity(t *testing.T) {
 	}
 }
 
-func TestMatern32MatchesClosedForm(t *testing.T) {
-	k := NewMatern32([]float64{2})
-	// distance d = |a-b|/l = 1.5
+// TestKernelClosedForm pins each family's κ against its closed form at
+// the scaled distance d = |a−b|/l = 1.5. EvalBatch and the sweep plan
+// share Family.cov, so this is the test that checks the formula itself.
+func TestKernelClosedForm(t *testing.T) {
 	a, b := []float64{0}, []float64{3}
-	d := math.Sqrt(3) * 1.5
-	want := (1 + d) * math.Exp(-d)
-	if got := k.Eval(a, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Matern32 = %v, want %v", got, want)
+	const d = 1.5 // |a−b| / l with l = 2
+	want := map[Family]float64{
+		Matern32: (1 + math.Sqrt(3)*d) * math.Exp(-math.Sqrt(3)*d),
+		Matern52: (1 + math.Sqrt(5)*d + 5*d*d/3) * math.Exp(-math.Sqrt(5)*d),
+		RBF:      math.Exp(-d * d / 2),
+	}
+	for _, f := range families {
+		if got := eval(mustKernel(f, []float64{2}), a, b); math.Abs(got-want[f]) > 1e-12 {
+			t.Errorf("%v = %v, want %v", f, got, want[f])
+		}
 	}
 }
 
-func TestKernelBadLengthScalesPanic(t *testing.T) {
+func TestNewKernelRejectsBadInput(t *testing.T) {
 	for _, bad := range [][]float64{nil, {}, {0}, {-1}, {math.NaN()}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for length scales %v", bad)
-				}
-			}()
-			NewMatern32(bad)
-		}()
+		if _, err := NewKernel(Matern32, bad); err == nil {
+			t.Errorf("expected error for length scales %v", bad)
+		}
+	}
+	for _, f := range []Family{-1, RBF + 1} {
+		if _, err := NewKernel(f, []float64{1}); err == nil {
+			t.Errorf("expected error for family %d", int(f))
+		}
 	}
 }
 
 func TestKernelDim(t *testing.T) {
 	for _, k := range kernels([]float64{1, 2, 3}) {
 		if k.Dim() != 3 {
-			t.Fatalf("%T: Dim = %d, want 3", k, k.Dim())
+			t.Fatalf("%v: Dim = %d, want 3", k.family, k.Dim())
 		}
 	}
 }
 
 func TestMatern52SmootherThanMatern32(t *testing.T) {
 	// Near the origin the smoother kernel stays closer to 1.
-	m32 := NewMatern32([]float64{1})
-	m52 := NewMatern52([]float64{1})
+	m32 := mustKernel(Matern32, []float64{1})
+	m52 := mustKernel(Matern52, []float64{1})
 	a, b := []float64{0}, []float64{0.2}
-	if m52.Eval(a, b) <= m32.Eval(a, b) {
+	if eval(m52, a, b) <= eval(m32, a, b) {
 		t.Fatal("Matern52 should decay slower near zero than Matern32")
 	}
 }

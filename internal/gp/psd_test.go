@@ -27,7 +27,7 @@ func TestKernelGramMatricesPSD(t *testing.T) {
 			gram := linalg.NewMatrix(n, n)
 			for i := 0; i < n; i++ {
 				for j := 0; j <= i; j++ {
-					v := k.Eval(pts[i], pts[j])
+					v := eval(k, pts[i], pts[j])
 					gram.Set(i, j, v)
 					gram.Set(j, i, v)
 				}

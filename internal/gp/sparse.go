@@ -128,7 +128,7 @@ func newSparseState(cfg SparseConfig, dim int) *sparseState {
 // NewSparse returns a GP running the inducing-point engine from the start.
 // Kernel and noise validation match New; the sliding-window bound does not
 // apply (the basis budget is the memory bound — see Add).
-func NewSparse(kernel Kernel, noiseVar float64, cfg SparseConfig) (*GP, error) {
+func NewSparse(kernel *Kernel, noiseVar float64, cfg SparseConfig) (*GP, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -220,19 +220,18 @@ func (g *GP) sparseAdmit(x []float64) {
 		g.sparseInsert(x)
 		return
 	}
-	prior := g.kernel.Prior()
 	k := sp.kbuf[:m]
 	g.kernel.EvalBatch(sp.zs, g.dim, x, k)
 	v := sp.vbuf[:m]
 	copy(v, k)
 	sp.solve1[0] = v
 	sp.cholKmm.ForwardSolveBatch(sp.solve1)
-	tau := prior - linalg.Dot(v, v)
+	tau := priorVar - linalg.Dot(v, v)
 	if tau < 0 {
 		tau = 0
 	}
 	if m < sp.cfg.MaxInducing {
-		if tau > sp.cfg.InsertTol*prior {
+		if tau > sp.cfg.InsertTol*priorVar {
 			g.sparseInsert(x)
 		}
 		return
@@ -280,7 +279,6 @@ func (g *GP) sparseInsert(z []float64) {
 	sp := g.sp
 	m := sp.m
 	stride := sp.cfg.MaxInducing
-	prior := g.kernel.Prior()
 	t := g.Len()
 
 	kz := sp.kbuf[:m]
@@ -306,17 +304,17 @@ func (g *GP) sparseInsert(z []float64) {
 	//edgebol:allow nanguard -- noiseVar is validated positive at construction (New)
 	invNoise := 1 / g.noiseVar
 	if m == 0 {
-		cholKmm, err := linalg.NewCholesky(linalg.NewMatrixFrom(1, 1, []float64{prior}))
+		cholKmm, err := linalg.NewCholesky(linalg.NewMatrixFrom(1, 1, []float64{priorVar}))
 		if err != nil {
 			panic(fmt.Sprintf("gp: inducing seed factor: %v", err))
 		}
-		cholSig, err := linalg.NewCholesky(linalg.NewMatrixFrom(1, 1, []float64{prior + invNoise*newDiag}))
+		cholSig, err := linalg.NewCholesky(linalg.NewMatrixFrom(1, 1, []float64{priorVar + invNoise*newDiag}))
 		if err != nil {
 			panic(fmt.Sprintf("gp: inducing seed Σ factor: %v", err))
 		}
 		sp.cholKmm, sp.cholSig = cholKmm, cholSig
 	} else {
-		if err := sp.cholKmm.Append(kz, prior); err != nil {
+		if err := sp.cholKmm.Append(kz, priorVar); err != nil {
 			// K_mm rows are admitted only above the novelty threshold, so the
 			// bordered pivot stays well clear of zero even before jitter.
 			panic(fmt.Sprintf("gp: inducing factor append: %v", err))
@@ -325,7 +323,7 @@ func (g *GP) sparseInsert(z []float64) {
 		for j := 0; j < m; j++ {
 			sigRow[j] = kz[j] + invNoise*newRow[j]
 		}
-		if err := sp.cholSig.Append(sigRow, prior+invNoise*newDiag); err != nil {
+		if err := sp.cholSig.Append(sigRow, priorVar+invNoise*newDiag); err != nil {
 			panic(fmt.Sprintf("gp: inducing Σ factor append: %v", err))
 		}
 	}
@@ -336,7 +334,7 @@ func (g *GP) sparseInsert(z []float64) {
 		sp.a[m*stride+j] = newRow[j]
 		sp.a[j*stride+m] = newRow[j]
 	}
-	sp.kmm[m*stride+m] = prior
+	sp.kmm[m*stride+m] = priorVar
 	sp.a[m*stride+m] = newDiag
 	sp.b[m] = newB
 	sp.zs = append(sp.zs, z...)

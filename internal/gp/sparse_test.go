@@ -28,8 +28,8 @@ func latticePoints(n int, spacing float64) ([][]float64, []float64) {
 func sparsePair(t *testing.T, cfg SparseConfig, xs [][]float64, ys []float64) (*GP, *GP) {
 	t.Helper()
 	ls := []float64{0.8, 1.2}
-	exact := New(NewMatern32(ls), 1e-2, 0)
-	sparse, err := NewSparse(NewMatern32(ls), 1e-2, cfg)
+	exact := New(mustKernel(Matern32, ls), 1e-2, 0)
+	sparse, err := NewSparse(mustKernel(Matern32, ls), 1e-2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +45,16 @@ func sparsePair(t *testing.T, cfg SparseConfig, xs [][]float64, ys []float64) (*
 }
 
 func TestSparseConfigValidate(t *testing.T) {
-	if _, err := NewSparse(NewMatern32([]float64{1}), 1e-2, SparseConfig{MaxInducing: -1}); err == nil {
+	if _, err := NewSparse(mustKernel(Matern32, []float64{1}), 1e-2, SparseConfig{MaxInducing: -1}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
-	if _, err := NewSparse(NewMatern32([]float64{1}), 1e-2, SparseConfig{InsertTol: -1}); err == nil {
+	if _, err := NewSparse(mustKernel(Matern32, []float64{1}), 1e-2, SparseConfig{InsertTol: -1}); err == nil {
 		t.Fatal("negative insert tolerance accepted")
 	}
-	if _, err := NewSparse(NewMatern32([]float64{1}), 1e-2, SparseConfig{SwapMargin: -1}); err == nil {
+	if _, err := NewSparse(mustKernel(Matern32, []float64{1}), 1e-2, SparseConfig{SwapMargin: -1}); err == nil {
 		t.Fatal("negative swap margin accepted")
 	}
-	g, err := NewSparse(NewMatern32([]float64{1, 1}), 1e-2, SparseConfig{})
+	g, err := NewSparse(mustKernel(Matern32, []float64{1, 1}), 1e-2, SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSparseConfigValidate(t *testing.T) {
 	if cfg.MaxInducing != 128 || cfg.InsertTol != 1e-3 || cfg.SwapMargin != 4 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if New(NewMatern32([]float64{1, 1}), 1e-2, 0).EngineName() != "exact" {
+	if New(mustKernel(Matern32, []float64{1, 1}), 1e-2, 0).EngineName() != "exact" {
 		t.Fatal("exact GP should report engine \"exact\"")
 	}
 }
@@ -143,7 +143,7 @@ func TestSparseApproximationBounded(t *testing.T) {
 // it does — streamed and freshly factorized states agree to rounding.
 func TestSparseStreamingMatchesRefactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 32})
+	g, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSparseStreamingMatchesRefactor(t *testing.T) {
 // a cluster member rather than be dropped.
 func TestSparseSwapEvictsRedundantBasis(t *testing.T) {
 	cfg := SparseConfig{MaxInducing: 4, InsertTol: 1e-9}
-	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, cfg)
+	g, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSparseSwapEvictsRedundantBasis(t *testing.T) {
 // bounds cost. A sparse GP never evicts and keeps its full history.
 func TestSparseEvictionNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 16})
+	g, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSparseSweepPlanMatchesGeneric(t *testing.T) {
 	for i := range ls {
 		ls[i] = 0.3 + rng.Float64()
 	}
-	g, err := NewSparse(NewMatern32(ls), 2e-3, SparseConfig{MaxInducing: 32})
+	g, err := NewSparse(mustKernel(Matern32, ls), 2e-3, SparseConfig{MaxInducing: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSparseSweepPlanMatchesGeneric(t *testing.T) {
 // the plan must rebuild its tables rather than sweep stale ones.
 func TestSparseSweepPlanRebuildOnSwap(t *testing.T) {
 	cfg := SparseConfig{MaxInducing: 4, InsertTol: 1e-9}
-	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2, 0.9, 1.1}), 1e-2, cfg)
+	g, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2, 0.9, 1.1}), 1e-2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSparseSweepPlanRebuildOnSwap(t *testing.T) {
 func TestSparseSnapshotRestoreBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	cfg := SparseConfig{MaxInducing: 16}
-	src, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, cfg)
+	src, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestSparseSnapshotRestoreBitwise(t *testing.T) {
 	if snap.Engine != "sparse" {
 		t.Fatalf("snapshot engine %q", snap.Engine)
 	}
-	dst, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, cfg)
+	dst, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSparseSnapshotRestoreBitwise(t *testing.T) {
 // cross-configuration rejection paths.
 func TestSparseRestoreRejectsMismatches(t *testing.T) {
 	exact := trainedGP(t, 0, 20)
-	sparse, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 16})
+	sparse, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestSparseRestoreRejectsMismatches(t *testing.T) {
 		t.Fatalf("sparse→exact restore: %v", err)
 	}
 	// Same engine, different basis budget.
-	other, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 32})
+	other, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, SparseConfig{MaxInducing: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestSparseRestoreRejectsMismatches(t *testing.T) {
 // TestSparseEmptyAndPriorBehaviour: before any observation the sparse
 // engine must report the prior exactly, like the exact engine.
 func TestSparseEmptyAndPriorBehaviour(t *testing.T) {
-	g, err := NewSparse(NewMatern32([]float64{0.8, 1.2}), 1e-2, SparseConfig{})
+	g, err := NewSparse(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,46 +7,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// Kernel names used by State to identify the package kernels; foreign
-// kernels are identified by their Go type via KernelName.
-const (
-	KernelMatern32 = "matern32"
-	KernelMatern52 = "matern52"
-	KernelRBF      = "rbf"
-)
-
-// KernelName returns a stable identifier for a kernel: a short name for
-// the package kernels, the Go type otherwise. Checkpoint restore compares
-// names to catch a GP being restored under a different covariance model.
-func KernelName(k Kernel) string {
-	switch k.(type) {
-	case *Matern32:
-		return KernelMatern32
-	case *Matern52:
-		return KernelMatern52
-	case *RBF:
-		return KernelRBF
-	default:
-		return fmt.Sprintf("%T", k)
-	}
-}
-
-// kernelLengthScales returns the length-scale vector of a package kernel,
-// or nil for foreign kernels (whose hyperparameters this package cannot
-// inspect).
-func kernelLengthScales(k Kernel) []float64 {
-	switch k := k.(type) {
-	case *Matern32:
-		return k.LengthScales
-	case *Matern52:
-		return k.LengthScales
-	case *RBF:
-		return k.LengthScales
-	default:
-		return nil
-	}
-}
-
 // State is a complete, self-contained snapshot of a GP's learned state:
 // the flat training storage, the packed Cholesky factor exactly as the
 // incremental append/evict history left it, and the hyperparameters the
@@ -59,10 +19,9 @@ func kernelLengthScales(k Kernel) []float64 {
 // verbatim makes the round trip exact by construction and keeps restore at
 // O(t²) (one alpha solve) instead of O(t³).
 type State struct {
-	// Kernel identifies the covariance model (KernelName).
+	// Kernel names the covariance family (Family.String).
 	Kernel string
-	// LengthScales are the kernel's per-dimension length scales; nil for
-	// foreign kernels.
+	// LengthScales are the kernel's per-dimension length scales.
 	LengthScales []float64
 	// NoiseVar is the observation-noise variance ζ².
 	NoiseVar float64
@@ -120,8 +79,8 @@ type State struct {
 // Add (the single-writer contract in the type comment).
 func (g *GP) Snapshot() State {
 	s := State{
-		Kernel:       KernelName(g.kernel),
-		LengthScales: append([]float64(nil), kernelLengthScales(g.kernel)...),
+		Kernel:       g.kernel.family.String(),
+		LengthScales: append([]float64(nil), g.kernel.ls...),
 		NoiseVar:     g.noiseVar,
 		MaxObs:       g.maxObs,
 		Dim:          g.dim,
@@ -165,26 +124,24 @@ func (g *GP) Snapshot() State {
 // RestoreFrom replaces the GP's learned state with a snapshot. The
 // receiver must have been constructed (New) with the same configuration
 // the snapshot was taken under — kernel family and hyperparameters, noise
-// variance, observation bound — and RestoreFrom verifies as much of that
-// as it can see, bitwise, so a checkpoint cannot silently graft one
-// model's data onto another's covariance. Telemetry handles are untouched;
-// counters are process-local and restart from zero by design.
+// variance, observation bound — and RestoreFrom verifies all of it,
+// bitwise, so a checkpoint cannot silently graft one model's data onto
+// another's covariance. Telemetry handles are untouched; counters are
+// process-local and restart from zero by design.
 //
 // After a successful restore every posterior, batch sweep, and
 // log-marginal-likelihood is bitwise identical to the snapshotted GP's.
 // On any validation failure the GP is left unchanged.
 func (g *GP) RestoreFrom(s State) error {
-	if s.Kernel != KernelName(g.kernel) {
-		return fmt.Errorf("gp: restore kernel %q into %q", s.Kernel, KernelName(g.kernel))
+	if family := g.kernel.family.String(); s.Kernel != family {
+		return fmt.Errorf("gp: restore kernel %q into %q", s.Kernel, family)
 	}
-	if ls := kernelLengthScales(g.kernel); ls != nil {
-		if len(s.LengthScales) != len(ls) {
-			return fmt.Errorf("gp: restore %d length scales into kernel with %d", len(s.LengthScales), len(ls))
-		}
-		for i, l := range ls {
-			if s.LengthScales[i] != l { //edgebol:allow floateq -- restore demands the exact hyperparameters the snapshot was trained with
-				return fmt.Errorf("gp: restore length scale %d: %v does not match kernel's %v", i, s.LengthScales[i], l)
-			}
+	if len(s.LengthScales) != len(g.kernel.ls) {
+		return fmt.Errorf("gp: restore %d length scales into kernel with %d", len(s.LengthScales), len(g.kernel.ls))
+	}
+	for i, l := range g.kernel.ls {
+		if s.LengthScales[i] != l { //edgebol:allow floateq -- restore demands the exact hyperparameters the snapshot was trained with
+			return fmt.Errorf("gp: restore length scale %d: %v does not match kernel's %v", i, s.LengthScales[i], l)
 		}
 	}
 	if s.NoiseVar != g.noiseVar { //edgebol:allow floateq -- restore demands the exact hyperparameters the snapshot was trained with

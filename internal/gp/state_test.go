@@ -12,7 +12,7 @@ import (
 func trainedGP(t *testing.T, maxObs, n int) *GP {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-	g := New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, maxObs)
+	g := New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, maxObs)
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Float64(), rng.Float64()}
 		if err := g.Add(x, math.Sin(3*x[0])+0.1*rng.NormFloat64()); err != nil {
@@ -36,7 +36,7 @@ func TestSnapshotRestoreBitwise(t *testing.T) {
 			src := trainedGP(t, tc.maxObs, tc.n)
 			snap := src.Snapshot()
 
-			dst := New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, tc.maxObs)
+			dst := New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, tc.maxObs)
 			if err := dst.RestoreFrom(snap); err != nil {
 				t.Fatalf("RestoreFrom: %v", err)
 			}
@@ -90,20 +90,11 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestKernelName(t *testing.T) {
-	cases := []struct {
-		k    Kernel
-		want string
-	}{
-		{&Matern32{LengthScales: []float64{1}}, KernelMatern32},
-		{&Matern52{LengthScales: []float64{1}}, KernelMatern52},
-		{&RBF{LengthScales: []float64{1}}, KernelRBF},
-		// A foreign kernel is named by its Go type.
-		{&opaque{NewMatern32([]float64{1})}, "*gp.opaque"},
-	}
-	for _, tc := range cases {
-		if got := KernelName(tc.k); got != tc.want {
-			t.Errorf("KernelName(%T) = %q, want %q", tc.k, got, tc.want)
+func TestFamilyString(t *testing.T) {
+	want := map[Family]string{Matern32: "matern32", Matern52: "matern52", RBF: "rbf"}
+	for f, name := range want {
+		if got := f.String(); got != name {
+			t.Errorf("Family(%d).String() = %q, want %q", int(f), got, name)
 		}
 	}
 }
@@ -123,16 +114,16 @@ func TestRestoreFromRejectsMismatches(t *testing.T) {
 		s    State
 		want string
 	}{
-		{"kernel family", New(&RBF{LengthScales: []float64{0.8, 1.2}}, 1e-2, 0), base, "kernel"},
-		{"length scales", New(&Matern32{LengthScales: []float64{0.9, 1.2}}, 1e-2, 0), base, "length scale"},
-		{"noise", New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 2e-2, 0), base, "noise"},
-		{"bound", New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, 64), base, "observation bound"},
+		{"kernel family", New(mustKernel(RBF, []float64{0.8, 1.2}), 1e-2, 0), base, "kernel"},
+		{"length scales", New(mustKernel(Matern32, []float64{0.9, 1.2}), 1e-2, 0), base, "length scale"},
+		{"noise", New(mustKernel(Matern32, []float64{0.8, 1.2}), 2e-2, 0), base, "noise"},
+		{"bound", New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, 64), base, "observation bound"},
 		{"xs length", newLike(), mutate(func(s *State) { s.Xs = s.Xs[:len(s.Xs)-1] }), "input values"},
 		{"nan xs", newLike(), mutate(func(s *State) { s.Xs[0] = math.NaN() }), "non-finite"},
 		{"inf ys", newLike(), mutate(func(s *State) { s.Ys[0] = math.Inf(1) }), "non-finite"},
 		{"factor length", newLike(), mutate(func(s *State) { s.Factor = s.Factor[:3] }), "factor"},
 		{"factor diag", newLike(), mutate(func(s *State) { s.Factor[0] = -1 }), "factor"},
-		{"over bound", New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, 4), mutate(func(s *State) { s.MaxObs = 4 }), "over the bound"},
+		{"over bound", New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, 4), mutate(func(s *State) { s.MaxObs = 4 }), "over the bound"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,12 +140,12 @@ func TestRestoreFromRejectsMismatches(t *testing.T) {
 }
 
 func newLike() *GP {
-	return New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, 0)
+	return New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, 0)
 }
 
 func TestRestoreEmptyStateClearsGP(t *testing.T) {
 	g := trainedGP(t, 0, 5)
-	empty := New(&Matern32{LengthScales: []float64{0.8, 1.2}}, 1e-2, 0)
+	empty := New(mustKernel(Matern32, []float64{0.8, 1.2}), 1e-2, 0)
 	if err := g.RestoreFrom(empty.Snapshot()); err != nil {
 		t.Fatalf("RestoreFrom(empty): %v", err)
 	}

@@ -16,7 +16,7 @@ func sparseSweepTestGP(t *testing.T, ctxDims, ctrlDims, n int, seed int64) *GP {
 	for i := range ls {
 		ls[i] = 0.3 + rng.Float64()
 	}
-	g, err := NewSparse(NewMatern32(ls), 2e-3, SparseConfig{MaxInducing: 16})
+	g, err := NewSparse(mustKernel(Matern32, ls), 2e-3, SparseConfig{MaxInducing: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 				if sparse {
 					g = sparseSweepTestGP(t, shape.ctxDims, len(shape.counts), obs, 211)
 				} else {
-					g = sweepTestGP(t, func(ls []float64) Kernel { return NewMatern32(ls) },
+					g = sweepTestGP(t, Matern32,
 						shape.ctxDims, len(shape.counts), obs, 0, 211)
 				}
 				levels := sweepLevels(shape.counts)
@@ -103,11 +103,11 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 // TestSweepSubsetEmptyGP covers the prior-only path on both engines: with
 // no observations, the subset posterior is the prior at every index.
 func TestSweepSubsetEmptyGP(t *testing.T) {
-	sparse, err := NewSparse(NewMatern32([]float64{1, 1, 1}), 1e-3, SparseConfig{})
+	sparse, err := NewSparse(mustKernel(Matern32, []float64{1, 1, 1}), 1e-3, SparseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*GP{New(NewMatern32([]float64{1, 1, 1}), 1e-3, 0), sparse} {
+	for _, g := range []*GP{New(mustKernel(Matern32, []float64{1, 1, 1}), 1e-3, 0), sparse} {
 		levels := sweepLevels([]int{3, 4})
 		p, err := NewSweepPlan(g, 1, levels)
 		if err != nil {

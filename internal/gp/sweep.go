@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -26,19 +25,21 @@ import (
 //
 //	((x_i[ctxDims+d] − levels[d][l]) · inv[ctxDims+d])²
 //
-// for basis row i — exactly the per-dimension term of the kernel's
-// EvalBatch. The basis is the training set on the exact engine and the
-// inducing set on the sparse one. Cached rows are appended when the basis
-// grows and rebuilt from scratch when its generation counter moves (a
-// sliding-window eviction renumbers the training rows; an inducing-point
-// swap replaces a basis row in place); a hyperparameter refit constructs
-// a new GP and therefore a new plan.
+// for basis row i, with inv the kernel's reciprocal length scales —
+// exactly the per-dimension term of the kernel's EvalBatch. The basis is
+// the training set on the exact engine and the inducing set on the sparse
+// one. Cached rows are appended when the basis grows and rebuilt from
+// scratch when its generation counter moves (a sliding-window eviction
+// renumbers the training rows; an inducing-point swap replaces a basis
+// row in place); a hyperparameter refit constructs a new GP and therefore
+// a new plan.
 //
 // Bitwise contract: SweepSubset reproduces Posterior at the listed grid
 // points bit for bit, for every worker count. The per-dimension terms are
 // accumulated in the same two even/odd chains, in the same order, as the
 // kernel's scaledSqDistInv — the context dimensions come first, so the
-// per-period context partials are valid prefixes of both chains — and the
+// per-period context partials are valid prefixes of both chains — the
+// squared distances go through the same Family.cov as EvalBatch, and the
 // fused tiled solve gives every column the operation sequence of
 // Posterior's forward solve and dot products.
 //
@@ -49,8 +50,6 @@ import (
 type SweepPlan struct {
 	g       *GP
 	ctxDims int
-	tail    kernelTail
-	inv     []float64   // reciprocal length scales, one per feature dim
 	levels  [][]float64 // per control dimension, the grid level values
 	size    int         // grid cardinality Π len(levels[d])
 
@@ -69,17 +68,6 @@ type SweepPlan struct {
 	met planMetrics
 }
 
-// kernelTail identifies the covariance tail κ(d²) applied to the
-// tabulated squared distances; the expressions are copied verbatim from
-// the corresponding EvalBatch implementations.
-type kernelTail int
-
-const (
-	tailMatern32 kernelTail = iota
-	tailMatern52
-	tailRBF
-)
-
 // planMetrics holds the plan's pre-registered telemetry handles; the zero
 // value (all nil) is the disabled state.
 type planMetrics struct {
@@ -88,36 +76,16 @@ type planMetrics struct {
 	rows      *telemetry.Gauge
 }
 
-// ErrUnsupportedKernel is wrapped by NewSweepPlan when the GP's kernel is
-// not one of the package's stationary kernels (Matérn-3/2, Matérn-5/2,
-// RBF), whose per-dimension distance terms the plan tabulates.
-var ErrUnsupportedKernel = errors.New("gp: kernel not supported by SweepPlan")
-
 // NewSweepPlan builds a sweep plan for g over the grid whose control
 // dimensions take the given level values (feature order, after the
 // ctxDims context dimensions). The grid is enumerated with the last
 // control dimension fastest — the order core.GridSpec.Enumerate uses — and
 // candidate features must equal the level values bitwise (core guarantees
-// this by deriving both from the same GridSpec).
-//
-// It returns an error wrapping ErrUnsupportedKernel when the kernel is not
-// one of the package's stationary kernels, and a plain error when the
-// dimensions are inconsistent.
+// this by deriving both from the same GridSpec). It returns an error when
+// the dimensions are inconsistent.
 func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	if g == nil {
 		return nil, fmt.Errorf("gp: SweepPlan needs a GP")
-	}
-	var ls []float64
-	var tail kernelTail
-	switch k := g.kernel.(type) {
-	case *Matern32:
-		ls, tail = k.LengthScales, tailMatern32
-	case *Matern52:
-		ls, tail = k.LengthScales, tailMatern52
-	case *RBF:
-		ls, tail = k.LengthScales, tailRBF
-	default:
-		return nil, fmt.Errorf("%w: got %T", ErrUnsupportedKernel, g.kernel)
 	}
 	if ctxDims < 0 {
 		return nil, fmt.Errorf("gp: negative context dimension count %d", ctxDims)
@@ -125,9 +93,9 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("gp: SweepPlan needs at least one control dimension")
 	}
-	if ctxDims+len(levels) != len(ls) {
+	if ctxDims+len(levels) != g.dim {
 		return nil, fmt.Errorf("gp: %d context + %d control dimensions do not match kernel dimension %d",
-			ctxDims, len(levels), len(ls))
+			ctxDims, len(levels), g.dim)
 	}
 	size := 1
 	for d, lv := range levels {
@@ -139,15 +107,9 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	p := &SweepPlan{
 		g:       g,
 		ctxDims: ctxDims,
-		tail:    tail,
-		inv:     make([]float64, len(ls)),
 		levels:  make([][]float64, len(levels)),
 		size:    size,
 		tables:  make([][][]float64, len(levels)),
-	}
-	for i, l := range ls {
-		//edgebol:allow nanguard -- length scales are validated positive by checkLengthScales at construction
-		p.inv[i] = 1 / l
 	}
 	for d, lv := range levels {
 		p.levels[d] = append([]float64(nil), lv...)
@@ -187,7 +149,7 @@ func (p *SweepPlan) appendRows(from, to int) {
 	bxs := p.g.basisXs()
 	for d, lv := range p.levels {
 		f := p.ctxDims + d
-		invf := p.inv[f]
+		invf := p.g.kernel.inv[f]
 		for li, level := range lv {
 			tab := p.tables[d][li]
 			for i := from; i < to; i++ {
@@ -237,11 +199,12 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 	c0, c1 = p.c0[:n], p.c1[:n]
 	dim := p.g.dim
 	bxs := p.g.basisXs()
+	inv := p.g.kernel.inv
 	for i := 0; i < n; i++ {
 		row := bxs[i*dim : i*dim+p.ctxDims]
 		var s0, s1 float64
 		for j, x := range row {
-			t := (x - ctx[j]) * p.inv[j]
+			t := (x - ctx[j]) * inv[j]
 			if j%2 == 0 {
 				s0 += t * t
 			} else {
@@ -279,10 +242,9 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64
 	}
 	n := g.basisLen()
 	if n == 0 {
-		prior := math.Sqrt(g.kernel.Prior())
 		for i := range mu {
 			mu[i] = 0
-			sigma[i] = prior
+			sigma[i] = math.Sqrt(priorVar)
 		}
 		return
 	}
@@ -324,7 +286,6 @@ func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64
 func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma []float64) {
 	g := p.g
 	n := g.basisLen()
-	prior := g.kernel.Prior()
 	tile := hi - lo
 	if tile > sweepTile {
 		tile = sweepTile
@@ -363,14 +324,14 @@ func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma
 			}
 			col := views[b]
 			fillSqDist(col, c0, c1, rowsE, rowsO)
-			p.applyTail(col)
+			g.kernel.family.cov(col)
 		}
 		if g.sp != nil {
 			copy(buf2, buf)
 			solver.SolveFused(g.sp.cholSig, views[:m], g.sp.alpha, mu[base:base+m], vsq[:m])
 			solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:n], muNy[:m], vsqNy[:m])
 			for b := 0; b < m; b++ {
-				v := prior - vsqNy[b] + vsq[b]
+				v := priorVar - vsqNy[b] + vsq[b]
 				if v < 0 {
 					v = 0
 				}
@@ -380,7 +341,7 @@ func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma
 		}
 		solver.SolveFused(g.chol, views[:m], g.alpha, mu[base:base+m], vsq[:m])
 		for b := 0; b < m; b++ {
-			v := prior - vsq[b]
+			v := priorVar - vsq[b]
 			if v < 0 {
 				v = 0
 			}
@@ -435,31 +396,5 @@ func fillSqDist(col, c0, c1 []float64, rowsE, rowsO [][]float64) {
 			s1 += r[i]
 		}
 		col[i] = s0 + s1
-	}
-}
-
-// applyTail maps squared distances to covariances in place, with
-// expressions identical to the kernels' EvalBatch.
-//
-//edgebol:hot
-func (p *SweepPlan) applyTail(col []float64) {
-	switch p.tail {
-	case tailMatern32:
-		for i, d2 := range col {
-			//edgebol:allow nanguard -- d2 is a squared distance, non-negative by construction
-			d := math.Sqrt(3 * d2)
-			col[i] = (1 + d) * math.Exp(-d)
-		}
-	case tailMatern52:
-		for i, d2 := range col {
-			s2 := 5 * d2
-			//edgebol:allow nanguard -- s2 scales a squared distance, non-negative by construction
-			d := math.Sqrt(s2)
-			col[i] = (1 + d + s2/3) * math.Exp(-d)
-		}
-	default:
-		for i, d2 := range col {
-			col[i] = math.Exp(-0.5 * d2)
-		}
 	}
 }

@@ -10,6 +10,21 @@ import "fmt"
 // interleaved panel for EdgeBOL's training windows stays cache-resident.
 const PanelWidth = 32
 
+// Panel-kernel selection levels, in increasing capability. The amd64
+// AVX2 level needs the register-form VBROADCASTSD; both vector levels need
+// OS-managed vector state in XCR0. Other architectures always detect
+// panelKernelNone.
+const (
+	panelKernelNone = iota
+	panelKernelAVX2
+	panelKernelAVX512
+)
+
+// panelKernel is the vector kernel the fused solver dispatches to;
+// panelKernelNone disables the tiled path. Tests toggle it to pin the
+// scalar fallback and the narrower kernel against the widest one.
+var panelKernel = detectPanelKernel()
+
 // FusedSolver runs the fused posterior-sweep kernel
 //
 //	mu[j]  = ⟨cols[j], alpha⟩
@@ -51,7 +66,7 @@ func (s *FusedSolver) SolveFused(c *Cholesky, cols [][]float64, alpha, mu, vsq [
 			panic(fmt.Sprintf("linalg: SolveFused column length %d does not match size %d", len(y), c.n))
 		}
 	}
-	if panelAVX && c.n > 0 {
+	if panelKernel != panelKernelNone && c.n > 0 {
 		for len(cols) >= PanelWidth {
 			s.solveTile(c, cols[:PanelWidth], alpha, mu, vsq)
 			cols, mu, vsq = cols[PanelWidth:], mu[PanelWidth:], vsq[PanelWidth:]

@@ -21,23 +21,8 @@ func panelSolveAVX(l []float64, n int, panel []float64)
 //go:noescape
 func panelSolveAVX512(l []float64, n int, panel []float64)
 
-// Panel-kernel selection levels, in increasing capability. The AVX2 level
-// needs the register-form VBROADCASTSD; both levels need OS-managed
-// vector state in XCR0.
-const (
-	panelKernelNone = iota
-	panelKernelAVX2
-	panelKernelAVX512
-)
-
-// panelKernel is the vector kernel the fused solver dispatches to, and
-// panelAVX gates the tiled path as a whole. Tests toggle these to pin the
-// scalar fallback and the narrower kernel against the widest one.
-var (
-	panelKernel = detectPanelKernel()
-	panelAVX    = panelKernel != panelKernelNone
-)
-
+// detectPanelKernel returns the widest panel kernel the CPU and the OS
+// support.
 func detectPanelKernel() int {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {

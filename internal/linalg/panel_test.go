@@ -65,15 +65,15 @@ func checkFused(t *testing.T, c *Cholesky, cols [][]float64, alpha []float64) {
 // forEachPanelKernel runs fn once for every vector-kernel level the host
 // supports, plus the scalar fallback, restoring the detected level after.
 func forEachPanelKernel(t *testing.T, fn func(t *testing.T, level string)) {
-	detected, detectedAVX := panelKernel, panelAVX
-	defer func() { panelKernel, panelAVX = detected, detectedAVX }()
-	panelKernel, panelAVX = panelKernelNone, false
+	detected := panelKernel
+	defer func() { panelKernel = detected }()
+	panelKernel = panelKernelNone
 	fn(t, "scalar")
 	for _, level := range []int{panelKernelAVX2, panelKernelAVX512} {
 		if level > detected {
 			continue
 		}
-		panelKernel, panelAVX = level, true
+		panelKernel = level
 		switch level {
 		case panelKernelAVX2:
 			fn(t, "avx2")

@@ -223,16 +223,6 @@ func (tb *Testbed) Config() Config { return tb.cfg }
 // Users returns a copy of the current user population.
 func (tb *Testbed) Users() []ran.User { return append([]ran.User(nil), tb.users...) }
 
-// SetUsers replaces the user population (context change).
-func (tb *Testbed) SetUsers(users []ran.User) error {
-	if len(users) == 0 {
-		return fmt.Errorf("testbed: at least one user required")
-	}
-	tb.users = append(tb.users[:0], users...)
-	tb.rebaseSNRs()
-	return nil
-}
-
 // SetSNR sets a single user with the given uplink SNR, the §6.2 static
 // scenario.
 func (tb *Testbed) SetSNR(snrDB float64) {
