@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-baseline fmt fmt-check vet check bench-smoke sparse-equiv acq-equiv metrics-smoke ckpt-smoke fleet-smoke clean
+.PHONY: all build test race lint lint-baseline fmt fmt-check vet check bench-smoke sparse-equiv acq-equiv metrics-smoke ckpt-smoke fleet-smoke examples-smoke clean
 
 all: build
 
@@ -45,7 +45,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: build fmt-check lint test race sparse-equiv acq-equiv metrics-smoke ckpt-smoke fleet-smoke bench-smoke
+check: build fmt-check lint test race sparse-equiv acq-equiv metrics-smoke ckpt-smoke fleet-smoke examples-smoke bench-smoke
 
 # sparse-equiv runs the sparse-vs-exact equivalence suite on its own:
 # posterior error bounds against the exact oracle, bitwise sweep-plan
@@ -89,6 +89,19 @@ ckpt-smoke:
 # that the warm joiner converges no slower than a cold twin.
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
+
+# examples-smoke builds every program under examples/ and runs it to
+# completion, failing on a non-zero exit or on a run past 120 s: `build`
+# only compiles them, and examples/tariff is the one program that drives
+# decomposed-cost mode.
+examples-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for ex in examples/*/; do \
+		name=$$(basename $$ex); \
+		echo "examples-smoke: $$name"; \
+		$(GO) build -o "$$dir/$$name" ./$$ex && timeout 120 "$$dir/$$name" > /dev/null || \
+			{ echo "examples-smoke: $$name failed"; exit 1; }; \
+	done
 
 # bench-smoke runs every benchmark in the module once, so the developer
 # benchmarks cannot rot, then vets and tests edgebench, which is a module

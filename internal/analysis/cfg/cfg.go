@@ -443,17 +443,21 @@ func (g *Graph) IsCond(n ast.Node) (*Block, bool) {
 	return b, ok
 }
 
-// NodeAt returns the block-level node spanning pos and its block. An
-// unreachable statement (dead code after return) yields (nil, nil).
+// NodeAt returns the innermost block-level node spanning pos and its
+// block: a RangeStmt spans its whole body, so a statement in the body
+// resolves to itself, not to the loop header. An unreachable statement
+// (dead code after return) yields (nil, nil).
 func (g *Graph) NodeAt(pos token.Pos) (ast.Node, *Block) {
+	var at ast.Node
+	var atBlk *Block
 	for _, blk := range g.Blocks {
 		for _, n := range blk.Nodes {
-			if n.Pos() <= pos && pos <= n.End() {
-				return n, blk
+			if n.Pos() <= pos && pos <= n.End() && (at == nil || n.End()-n.Pos() < at.End()-at.Pos()) {
+				at, atBlk = n, blk
 			}
 		}
 	}
-	return nil, nil
+	return at, atBlk
 }
 
 // Inspect walks a block-level node and its sub-expressions with f,

@@ -74,3 +74,22 @@ func guardAfterUse(a, b float64) float64 {
 	}
 	return r
 }
+
+func guardedInRangeLoop(ls []float64) []float64 {
+	out := make([]float64, len(ls))
+	for i, l := range ls {
+		if l <= 0 {
+			return nil
+		}
+		out[i] = 1 / l // guard in the loop body dominates: fine
+	}
+	return out
+}
+
+func unguardedInRangeLoop(ls []float64) []float64 {
+	out := make([]float64, len(ls))
+	for i, l := range ls {
+		out[i] = 1 / l // want `division result can be NaN`
+	}
+	return out
+}

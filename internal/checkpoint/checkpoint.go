@@ -39,13 +39,10 @@ const Magic = "EBOLCKPT"
 // identity and the sparse-engine state (inducing set, moment blocks, dual
 // factors). Version 3 widened the core META layout to the split-inference
 // control dimension (five-component safe seeds, per-dimension grid level
-// counts) and added the acquisition mode.
+// counts) and added the acquisition mode. The reader accepts this version
+// only: earlier checkpoints hold GP inputs without the split dimension,
+// which no agent of this code can restore.
 const Version = 3
-
-// MinVersion is the oldest container version this reader still accepts.
-// Version-1 checkpoints predate the sparse engine; their sections decode
-// with the engine defaulted to exact.
-const MinVersion = 1
 
 // Container-level decode errors. Decode wraps them with positional detail;
 // match with errors.Is.
@@ -70,7 +67,7 @@ type VersionError struct {
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("checkpoint: unsupported format version %d (reader supports %d through %d)", e.Found, MinVersion, Version)
+	return fmt.Sprintf("checkpoint: unsupported format version %d (reader supports %d)", e.Found, Version)
 }
 
 // Section is one tagged payload of a checkpoint.
@@ -176,7 +173,7 @@ func DecodeBytes(data []byte) (*Archive, error) {
 		return nil, ErrBadMagic
 	}
 	version := binary.LittleEndian.Uint16(data[8:10])
-	if version < MinVersion || version > Version {
+	if version != Version {
 		return nil, &VersionError{Found: version}
 	}
 	count := binary.LittleEndian.Uint32(data[12:16])

@@ -82,7 +82,9 @@ func predSigma(s, zeta float64) float64 { return math.Sqrt(s*s + zeta*zeta) }
 // allocated once at construction to its worst-case size (the evaluation
 // budget), so the per-period hot loops never allocate: slot s of
 // idx/mu/sigma/lcb/rank/safe describes the s-th candidate evaluated this
-// period, in evaluation order.
+// period, in evaluation order. mu/sigma hold one buffer per learned
+// objective, indexed by objective id, plus the cost of a decomposed-cost
+// agent, which flush combines from the power posteriors.
 type acqEngine struct {
 	a        *Agent
 	gridSize int
@@ -95,9 +97,7 @@ type acqEngine struct {
 
 	// Per-slot candidate state, evaluation-ordered.
 	idx       []int32
-	mu, sigma [numGPs][]float64
-	powMu     [2][]float64
-	powSigma  [2][]float64
+	mu, sigma [numObjectives][]float64
 	lcb       []float64
 	rank      []uint8 // 0 safe, 1 informed-unsafe, 2 uninformed
 	safe      []bool
@@ -165,14 +165,10 @@ func newAcqEngine(a *Agent) *acqEngine {
 		stride *= e.dimN[d]
 	}
 	e.idx = make([]int32, e.maxEval)
-	for i := range e.mu {
-		e.mu[i] = make([]float64, e.maxEval)
-		e.sigma[i] = make([]float64, e.maxEval)
-	}
-	if a.opts.DecomposedCost {
-		for i := range e.powMu {
-			e.powMu[i] = make([]float64, e.maxEval)
-			e.powSigma[i] = make([]float64, e.maxEval)
+	for id := range e.mu {
+		if id == gpCost || a.learned(id) != nil {
+			e.mu[id] = make([]float64, e.maxEval)
+			e.sigma[id] = make([]float64, e.maxEval)
 		}
 	}
 	e.lcb = make([]float64, e.maxEval)
@@ -212,7 +208,7 @@ func (e *acqEngine) reset(ctx Context) {
 	cons := a.opts.Constraints
 	e.dmaxN = a.opts.Norm.Delay.Norm(cons.MaxDelay)
 	e.rminN = a.opts.Norm.MAP.Norm(cons.MinMAP)
-	e.zetaD = math.Sqrt(a.gps[gpDelay].NoiseVar()) //edgebol:allow nanguard -- NoiseVar is validated non-negative at construction
+	e.zetaD = math.Sqrt(a.learned(gpDelay).NoiseVar()) //edgebol:allow nanguard -- NoiseVar is validated non-negative at construction
 	for i := range e.seen {
 		e.seen[i] = 0
 	}
@@ -270,7 +266,7 @@ func (e *acqEngine) addMandatory() {
 		e.seedSlot[k] = int32(e.n)
 		e.add(gi)
 	}
-	g := a.gps[gpDelay]
+	g := a.learned(gpDelay)
 	for i := 0; i < g.Len(); i++ {
 		row := g.TrainingRow(i)
 		x := Control{
@@ -528,8 +524,9 @@ func (e *acqEngine) flood() {
 }
 
 // flush evaluates the pending candidates [done, n): one SweepSubset batch
-// per objective, the decomposed-cost combination, and the safety/LCB
-// scoring. During the flood, newly scored slots join the priority queue.
+// per learned objective, the decomposed-cost combination, and the
+// safety/LCB scoring. During the flood, newly scored slots join the
+// priority queue.
 func (e *acqEngine) flush() {
 	lo, hi := e.done, e.n
 	if lo == hi {
@@ -552,32 +549,15 @@ func (e *acqEngine) flush() {
 			plan.SweepSubset(e.cf, idxs, mu, sigma, e.workers)
 		}()
 	}
-	for i := range a.gps {
-		if i == gpCost && a.opts.DecomposedCost {
-			continue
-		}
-		sweep(a.plans[i], e.mu[i][lo:hi], e.sigma[i][lo:hi])
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			sweep(a.powPlans[i], e.powMu[i][lo:hi], e.powSigma[i][lo:hi])
-		}
+	for _, o := range a.objs {
+		sweep(o.plan, e.mu[o.id][lo:hi], e.sigma[o.id][lo:hi])
 	}
 	wg.Wait()
 	if a.opts.DecomposedCost {
-		// Combine the power posteriors into a cost posterior in raw
-		// monetary units (only the ranking matters for the acquisition):
-		// μ_u = δ₁·p̂_s + δ₂·p̂_b and, with the two surfaces modeled as
-		// independent GPs, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
-		w := a.opts.Weights
-		nm := a.opts.Norm
 		for s := lo; s < hi; s++ {
-			ps := e.powMu[0][s]*nm.ServerPower.Scale + nm.ServerPower.Center
-			pb := e.powMu[1][s]*nm.BSPower.Scale + nm.BSPower.Center
-			e.mu[gpCost][s] = w.Delta1*ps + w.Delta2*pb
-			ss := w.Delta1 * nm.ServerPower.Scale * e.powSigma[0][s]
-			sb := w.Delta2 * nm.BSPower.Scale * e.powSigma[1][s]
-			e.sigma[gpCost][s] = math.Sqrt(ss*ss + sb*sb)
+			c := a.decomposedCost(Posterior{Mean: e.mu[gpServerPower][s], Sigma: e.sigma[gpServerPower][s]},
+				Posterior{Mean: e.mu[gpBSPower][s], Sigma: e.sigma[gpBSPower][s]})
+			e.mu[gpCost][s], e.sigma[gpCost][s] = c.Mean, c.Sigma
 		}
 	}
 	e.scoreRange(lo, hi)
@@ -687,9 +667,10 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 		e.mu[gpMAP][best]-a.opts.SafeBeta*e.sigma[gpMAP][best] < e.rminN
 	// The sweep's sharding decision is driven by the basis size: training
 	// rows for the exact engine, inducing points for the sparse one.
-	basis := a.gps[gpDelay].Len()
-	if a.gps[gpDelay].IsSparse() {
-		basis = a.gps[gpDelay].InducingLen()
+	g := a.learned(gpDelay)
+	basis := g.Len()
+	if g.IsSparse() {
+		basis = g.InducingLen()
 	}
 	info := SelectionInfo{
 		SafeSetSize:         nSafe,

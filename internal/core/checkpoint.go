@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -25,35 +26,19 @@ var ErrCheckpointMismatch = errors.New("core: checkpoint does not match agent co
 // it like any unknown ancillary tag.
 const secMeta = "META"
 
-// gpTags and powTags name the per-objective GP state sections, indexed
-// like Agent.gps and Agent.powerGPs.
-var gpTags = [numGPs]string{"GP00", "GP01", "GP02"}
-var powTags = [2]string{"PW00", "PW01"}
+// objectiveTags name the per-objective GP state sections, indexed by
+// objective id.
+var objectiveTags = [numObjectives]string{"GP00", "GP01", "GP02", "PW00", "PW01"}
 
 // knownCriticalTag reports whether this reader understands a critical
 // section tag; LoadCheckpoint rejects checkpoints carrying critical
 // sections it does not understand (the container's forward-compat rule).
+// Every objective's tag is known, so a decomposed-cost checkpoint that
+// still carries an empty cost section ("GP00") restores; the reader skips
+// that section.
 func knownCriticalTag(tag string) bool {
-	if tag == secMeta {
-		return true
-	}
-	for _, t := range gpTags {
-		if tag == t {
-			return true
-		}
-	}
-	for _, t := range powTags {
-		if tag == t {
-			return true
-		}
-	}
-	return false
+	return tag == secMeta || slices.Contains(objectiveTags[:], tag)
 }
-
-// objectiveNames are the stable per-GP labels recorded in the objective
-// inventory, matching the telemetry labels.
-var objectiveNames = [numGPs]string{"cost", "delay", "map"}
-var powerObjectiveNames = [2]string{"server_power", "bs_power"}
 
 // CheckpointInfo summarizes a checkpoint without restoring it.
 type CheckpointInfo struct {
@@ -61,19 +46,17 @@ type CheckpointInfo struct {
 	Version uint16
 	// Periods is the agent's period counter at save time.
 	Periods int
-	// DecomposedCost reports whether the checkpoint carries the two
-	// decomposed power GPs in addition to the three objective GPs.
+	// DecomposedCost reports whether the agent learned the two power
+	// surfaces in place of the cost: its checkpoint carries the delay, mAP,
+	// server power and BS power GPs.
 	DecomposedCost bool
 	// Engine is the engine selector the agent was configured with
-	// ("exact" or "sparse"). Version-1 checkpoints predate the sparse
-	// engine and always report "exact".
+	// ("exact" or "sparse").
 	Engine string
-	// InducingPoints is the resolved sparse-engine basis budget (zero for
-	// version-1 checkpoints).
+	// InducingPoints is the resolved sparse-engine basis budget.
 	InducingPoints int
 	// Acquisition is the configured acquisition mode ("auto" or
-	// "exhaustive"). Version ≤ 2 checkpoints predate the adaptive engine
-	// and report "auto".
+	// "exhaustive").
 	Acquisition string
 	// Objectives lists each serialized GP and its retained observation
 	// count, in section order.
@@ -84,8 +67,7 @@ type CheckpointInfo struct {
 type ObjectiveSize struct {
 	Name         string
 	Observations int
-	// Engine is the engine this GP runs ("exact" or "sparse"). Empty for
-	// version-1 checkpoints.
+	// Engine is the engine this GP runs ("exact" or "sparse").
 	Engine string
 	// InducingPoints is the GP's current inducing-basis size (0 when
 	// exact).
@@ -106,14 +88,9 @@ type metaState struct {
 	norm           Normalization
 	safeSeed       []Control
 	objectives     []ObjectiveSize
-	// Version-2 fields; a version-1 checkpoint decodes as the exact
-	// engine with zero sparse configuration.
 	engine         EngineSelector
 	inducingPoints int
-	// Version-3 field; earlier checkpoints predate the adaptive engine
-	// and decode as AcqAuto — which on their (pre-LevelsPerDim) grids
-	// resolves to the exhaustive sweep they were saved under.
-	acqMode AcquisitionMode
+	acqMode        AcquisitionMode
 }
 
 // normAffines flattens a Normalization into its five transforms in a
@@ -148,48 +125,29 @@ func (a *Agent) encodeMeta() []byte {
 		e.F64(s.Airtime)
 		e.F64(s.GPUSpeed)
 		e.F64(s.MCS)
-		// Version 3 widened the seeds to the split dimension.
 		e.F64(s.SplitLayer)
 	}
 	// Objective inventory: lets ReadCheckpointInfo report per-GP sizes
 	// from the META section alone, without touching the GP payloads.
-	count := numGPs
-	if a.opts.DecomposedCost {
-		count += len(a.powerGPs)
+	e.U32(uint32(len(a.objs)))
+	for _, o := range a.objs {
+		e.String(objectiveNames[o.id])
+		e.U64(uint64(o.gp.Len()))
 	}
-	e.U32(uint32(count))
-	for i, g := range a.gps {
-		e.String(objectiveNames[i])
-		e.U64(uint64(g.Len()))
-	}
-	if a.opts.DecomposedCost {
-		for i, g := range a.powerGPs {
-			e.String(powerObjectiveNames[i])
-			e.U64(uint64(g.Len()))
-		}
-	}
-	// Version-2 extension: the engine selector with its resolved basis
-	// budget, a reserved u64 (once a mid-run engine-switch threshold;
-	// written as 0, skipped on read), then per-objective engine identity
-	// (same order as the inventory above) so `ckpt info` can report the
-	// engine and basis sizes without touching the GP payloads.
+	// The engine selector with its resolved basis budget, a reserved u64
+	// (once a mid-run engine-switch threshold; written as 0, skipped on
+	// read), then per-objective engine identity (same order as the
+	// inventory above) so `ckpt info` can report the engine and basis
+	// sizes without touching the GP payloads.
 	e.U8(uint8(a.opts.Engine))
 	e.U64(uint64(a.opts.InducingPoints))
 	e.U64(0)
-	for _, g := range a.gps {
-		e.String(g.EngineName())
-		e.U64(uint64(g.InducingLen()))
+	for _, o := range a.objs {
+		e.String(o.gp.EngineName())
+		e.U64(uint64(o.gp.InducingLen()))
 	}
-	if a.opts.DecomposedCost {
-		for _, g := range a.powerGPs {
-			e.String(g.EngineName())
-			e.U64(uint64(g.InducingLen()))
-		}
-	}
-	// Version-3 extension: the acquisition mode (as configured, so AcqAuto
-	// round-trips as AcqAuto) and the per-dimension grid level counts —
-	// the split-inference dimension and the LevelsPerDim overrides
-	// postdate version 2.
+	// The acquisition mode (as configured, so AcqAuto round-trips as
+	// AcqAuto) and the per-dimension grid level counts.
 	e.U8(uint8(a.opts.Acquisition))
 	for _, n := range a.opts.Grid.LevelsPerDim {
 		e.U32(uint32(n))
@@ -197,7 +155,7 @@ func (a *Agent) encodeMeta() []byte {
 	return e.Bytes()
 }
 
-func decodeMeta(data []byte, version uint16) (*metaState, error) {
+func decodeMeta(data []byte) (*metaState, error) {
 	d := checkpoint.NewDecoder(data)
 	m := &metaState{}
 	m.t = d.U64()
@@ -218,27 +176,19 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 		af.Scale = d.F64()
 	}
 	nSeed := int(d.U32())
-	// Every seed takes 32 payload bytes (40 from version 3, which widened
-	// the seeds to the split dimension); bounding by the remaining bytes
+	// Every seed takes 40 payload bytes; bounding by the remaining bytes
 	// keeps a hostile count from forcing a huge allocation.
-	seedBytes := 32
-	if version >= 3 {
-		seedBytes = 40
-	}
-	if d.Err() == nil && nSeed > d.Remaining()/seedBytes {
+	if d.Err() == nil && nSeed > d.Remaining()/40 {
 		return nil, fmt.Errorf("%w: %d safe seeds declared, %d bytes remain", checkpoint.ErrTruncated, nSeed, d.Remaining())
 	}
 	for i := 0; i < nSeed && d.Err() == nil; i++ {
-		s := Control{
+		m.safeSeed = append(m.safeSeed, Control{
 			Resolution: d.F64(),
 			Airtime:    d.F64(),
 			GPUSpeed:   d.F64(),
 			MCS:        d.F64(),
-		}
-		if version >= 3 {
-			s.SplitLayer = d.F64()
-		}
-		m.safeSeed = append(m.safeSeed, s)
+			SplitLayer: d.F64(),
+		})
 	}
 	nObj := int(d.U32())
 	// A name prefix plus the count is at least 12 bytes per objective.
@@ -250,32 +200,28 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 		obs := d.U64()
 		m.objectives = append(m.objectives, ObjectiveSize{Name: name, Observations: int(obs)})
 	}
-	if version >= 2 {
-		m.engine = EngineSelector(d.U8())
-		m.inducingPoints = int(d.U64())
-		d.U64() // reserved
-		for i := range m.objectives {
-			if d.Err() != nil {
-				break
-			}
-			m.objectives[i].Engine = d.String()
-			m.objectives[i].InducingPoints = int(d.U64())
+	m.engine = EngineSelector(d.U8())
+	m.inducingPoints = int(d.U64())
+	d.U64() // reserved
+	for i := range m.objectives {
+		if d.Err() != nil {
+			break
 		}
-		if d.Err() == nil && (m.engine < EngineExact || m.engine > EngineSparse) {
-			return nil, fmt.Errorf("%w: unknown engine selector %d", checkpoint.ErrMalformed, m.engine)
-		}
-		if d.Err() == nil && m.inducingPoints < 0 {
-			return nil, fmt.Errorf("%w: negative sparse configuration", checkpoint.ErrMalformed)
-		}
+		m.objectives[i].Engine = d.String()
+		m.objectives[i].InducingPoints = int(d.U64())
 	}
-	if version >= 3 {
-		m.acqMode = AcquisitionMode(d.U8())
-		for i := range m.grid.LevelsPerDim {
-			m.grid.LevelsPerDim[i] = int(d.U32())
-		}
-		if d.Err() == nil && (m.acqMode < AcqAuto || m.acqMode > AcqExhaustive) {
-			return nil, fmt.Errorf("%w: unknown acquisition mode %d", checkpoint.ErrMalformed, m.acqMode)
-		}
+	if d.Err() == nil && (m.engine < EngineExact || m.engine > EngineSparse) {
+		return nil, fmt.Errorf("%w: unknown engine selector %d", checkpoint.ErrMalformed, m.engine)
+	}
+	if d.Err() == nil && m.inducingPoints < 0 {
+		return nil, fmt.Errorf("%w: negative sparse configuration", checkpoint.ErrMalformed)
+	}
+	m.acqMode = AcquisitionMode(d.U8())
+	for i := range m.grid.LevelsPerDim {
+		m.grid.LevelsPerDim[i] = int(d.U32())
+	}
+	if d.Err() == nil && (m.acqMode < AcqAuto || m.acqMode > AcqExhaustive) {
+		return nil, fmt.Errorf("%w: unknown acquisition mode %d", checkpoint.ErrMalformed, m.acqMode)
 	}
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: META section: %w", err)
@@ -283,10 +229,10 @@ func decodeMeta(data []byte, version uint16) (*metaState, error) {
 	return m, nil
 }
 
-// encodeGPState serializes a gp.State as one section payload. The
-// version-1 layout is preserved as a prefix; version 2 appends the engine
-// identity and, verbatim, the sparse engine's streamed state (bases,
-// moments, both Cholesky factors) so a restore is bitwise lossless.
+// encodeGPState serializes a gp.State as one section payload: the exact
+// engine's state, then the engine identity and, verbatim, the sparse
+// engine's streamed state (bases, moments, both Cholesky factors) so a
+// restore is bitwise lossless.
 func encodeGPState(s gp.State) []byte {
 	var e checkpoint.Encoder
 	e.String(s.Kernel)
@@ -318,7 +264,7 @@ func encodeGPState(s gp.State) []byte {
 	return e.Bytes()
 }
 
-func decodeGPState(data []byte, version uint16) (gp.State, error) {
+func decodeGPState(data []byte) (gp.State, error) {
 	d := checkpoint.NewDecoder(data)
 	var s gp.State
 	s.Kernel = d.String()
@@ -331,24 +277,22 @@ func decodeGPState(data []byte, version uint16) (gp.State, error) {
 	s.Factor = d.F64s()
 	s.Jitter = d.F64()
 	s.Evictions = d.U64()
-	if version >= 2 {
-		s.Engine = d.String()
-		s.MaxInducing = int(d.U32())
-		s.InsertTol = d.F64()
-		s.SwapMargin = d.F64()
-		s.Zs = d.F64s()
-		s.Kmm = d.F64s()
-		s.A = d.F64s()
-		s.B = d.F64s()
-		s.SumYY = d.F64()
-		s.KmmFactor = d.F64s()
-		s.KmmJitter = d.F64()
-		s.SigFactor = d.F64s()
-		s.SigJitter = d.F64()
-		s.Inserts = d.U64()
-		s.Swaps = d.U64()
-		s.SinceRefactor = int(d.U64())
-	}
+	s.Engine = d.String()
+	s.MaxInducing = int(d.U32())
+	s.InsertTol = d.F64()
+	s.SwapMargin = d.F64()
+	s.Zs = d.F64s()
+	s.Kmm = d.F64s()
+	s.A = d.F64s()
+	s.B = d.F64s()
+	s.SumYY = d.F64()
+	s.KmmFactor = d.F64s()
+	s.KmmJitter = d.F64()
+	s.SigFactor = d.F64s()
+	s.SigJitter = d.F64()
+	s.Inserts = d.U64()
+	s.Swaps = d.U64()
+	s.SinceRefactor = int(d.U64())
 	if err := d.Done(); err != nil {
 		return gp.State{}, err
 	}
@@ -369,15 +313,10 @@ func decodeGPState(data []byte, version uint16) (gp.State, error) {
 // (the Agent is not safe for concurrent use).
 func (a *Agent) SaveCheckpoint(w io.Writer) error {
 	start := time.Now()
-	sections := make([]checkpoint.Section, 0, 1+numGPs+len(a.powerGPs))
+	sections := make([]checkpoint.Section, 0, 1+len(a.objs))
 	sections = append(sections, checkpoint.Section{Tag: secMeta, Data: a.encodeMeta()})
-	for i, g := range a.gps {
-		sections = append(sections, checkpoint.Section{Tag: gpTags[i], Data: encodeGPState(g.Snapshot())})
-	}
-	if a.opts.DecomposedCost {
-		for i, g := range a.powerGPs {
-			sections = append(sections, checkpoint.Section{Tag: powTags[i], Data: encodeGPState(g.Snapshot())})
-		}
+	for _, o := range a.objs {
+		sections = append(sections, checkpoint.Section{Tag: objectiveTags[o.id], Data: encodeGPState(o.gp.Snapshot())})
 	}
 	cw := &countingWriter{w: w}
 	if err := checkpoint.Encode(cw, sections); err != nil {
@@ -436,7 +375,7 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 	if metaSec == nil {
 		return nil, fmt.Errorf("%w: missing %s section", checkpoint.ErrMalformed, secMeta)
 	}
-	meta, err := decodeMeta(metaSec.Data, arch.Version)
+	meta, err := decodeMeta(metaSec.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -445,21 +384,14 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 		return nil, err
 	}
 	// Engine identity is fixed configuration: the learned state's meaning
-	// depends on the engine that produced it. Version-1 checkpoints predate
-	// the sparse engine and therefore restore only into exact agents; for
-	// version 2 the selector must match bitwise, and the basis budget is
-	// compared only where it shapes behaviour (the sparse engine).
-	if arch.Version < 2 {
-		if a.opts.Engine != EngineExact {
-			return nil, mismatch("Engine", EngineExact, a.opts.Engine)
-		}
-	} else {
-		if meta.engine != a.opts.Engine {
-			return nil, mismatch("Engine", meta.engine, a.opts.Engine)
-		}
-		if a.opts.Engine == EngineSparse && meta.inducingPoints != a.opts.InducingPoints {
-			return nil, mismatch("InducingPoints", meta.inducingPoints, a.opts.InducingPoints)
-		}
+	// depends on the engine that produced it. The selector must match
+	// bitwise, and the basis budget is compared only where it shapes
+	// behaviour (the sparse engine).
+	if meta.engine != a.opts.Engine {
+		return nil, mismatch("Engine", meta.engine, a.opts.Engine)
+	}
+	if a.opts.Engine == EngineSparse && meta.inducingPoints != a.opts.InducingPoints {
+		return nil, mismatch("InducingPoints", meta.inducingPoints, a.opts.InducingPoints)
 	}
 	// Fixed configuration must match bitwise: the learned state is only
 	// meaningful under the exact grid, priors, and normalization it was
@@ -516,32 +448,18 @@ func LoadCheckpoint(r io.Reader, opts Options) (*Agent, error) {
 	a.opts.Constraints = meta.constraints
 	a.opts.Weights = w
 	a.t = int(meta.t)
-	for i, g := range a.gps {
-		sec := arch.Find(gpTags[i])
+	for _, o := range a.objs {
+		tag := objectiveTags[o.id]
+		sec := arch.Find(tag)
 		if sec == nil {
-			return nil, fmt.Errorf("%w: missing %s section", checkpoint.ErrMalformed, gpTags[i])
+			return nil, fmt.Errorf("%w: missing %s section", checkpoint.ErrMalformed, tag)
 		}
-		st, err := decodeGPState(sec.Data, arch.Version)
+		st, err := decodeGPState(sec.Data)
 		if err != nil {
-			return nil, fmt.Errorf("core: section %s: %w", gpTags[i], err)
+			return nil, fmt.Errorf("core: section %s: %w", tag, err)
 		}
-		if err := g.RestoreFrom(st); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointMismatch, objectiveNames[i], err)
-		}
-	}
-	if a.opts.DecomposedCost {
-		for i, g := range a.powerGPs {
-			sec := arch.Find(powTags[i])
-			if sec == nil {
-				return nil, fmt.Errorf("%w: missing %s section", checkpoint.ErrMalformed, powTags[i])
-			}
-			st, err := decodeGPState(sec.Data, arch.Version)
-			if err != nil {
-				return nil, fmt.Errorf("core: section %s: %w", powTags[i], err)
-			}
-			if err := g.RestoreFrom(st); err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointMismatch, powerObjectiveNames[i], err)
-			}
+		if err := o.gp.RestoreFrom(st); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointMismatch, objectiveNames[o.id], err)
 		}
 	}
 	a.met.ckptRestores.Inc()
@@ -564,19 +482,15 @@ func ReadCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
 	if metaSec == nil {
 		return CheckpointInfo{}, fmt.Errorf("%w: missing %s section", checkpoint.ErrMalformed, secMeta)
 	}
-	meta, err := decodeMeta(metaSec.Data, arch.Version)
+	meta, err := decodeMeta(metaSec.Data)
 	if err != nil {
 		return CheckpointInfo{}, err
-	}
-	engine := "exact"
-	if arch.Version >= 2 {
-		engine = meta.engine.String()
 	}
 	return CheckpointInfo{
 		Version:        arch.Version,
 		Periods:        int(meta.t),
 		DecomposedCost: meta.decomposed,
-		Engine:         engine,
+		Engine:         meta.engine.String(),
 		InducingPoints: meta.inducingPoints,
 		Acquisition:    meta.acqMode.String(),
 		Objectives:     meta.objectives,

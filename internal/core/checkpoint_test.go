@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -144,13 +145,15 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			secondHalf := runPeriods(t, restored, T/2, T)
 			assertSameSteps(t, secondHalf, full[T/2:])
 
-			// The per-GP internals must land bitwise where the straight
-			// run's did.
-			for i := range straight.gps {
-				s1 := straight.gps[i].Snapshot()
-				s2 := restored.gps[i].Snapshot()
-				if !gpStatesEqual(s1, s2) {
-					t.Fatalf("final GP %d state diverged", i)
+			// Every learned GP's internals must land bitwise where the
+			// straight run's did.
+			if len(restored.objs) != len(straight.objs) {
+				t.Fatalf("restored %d objectives, want %d", len(restored.objs), len(straight.objs))
+			}
+			for i, o := range straight.objs {
+				r := restored.objs[i]
+				if r.id != o.id || !gpStatesEqual(o.gp.Snapshot(), r.gp.Snapshot()) {
+					t.Fatalf("final %s GP state diverged", objectiveNames[o.id])
 				}
 			}
 		})
@@ -299,7 +302,7 @@ func TestReadCheckpointInfo(t *testing.T) {
 	if !info.DecomposedCost {
 		t.Error("DecomposedCost = false")
 	}
-	want := map[string]int{"cost": 0, "delay": 5, "map": 5, "server_power": 5, "bs_power": 5}
+	want := map[string]int{"delay": 5, "map": 5, "server_power": 5, "bs_power": 5}
 	if len(info.Objectives) != len(want) {
 		t.Fatalf("Objectives = %+v", info.Objectives)
 	}
@@ -380,5 +383,86 @@ func TestLoadCheckpointRejectsUnknownCriticalSection(t *testing.T) {
 		if _, err := LoadCheckpoint(bytes.NewReader(withExtra(tag)), opts); err != nil {
 			t.Fatalf("unknown ancillary section %q rejected: %v", tag, err)
 		}
+	}
+}
+
+// TestLoadCheckpointSkipsUntrainedCostSection restores decomposed-cost
+// checkpoints from a writer that still kept an untrained cost GP: an
+// empty GP00 section and a "cost" entry in META's inventory. Both were
+// saved after 13 scripted periods, with a sliding window on the exact
+// engine and on the sparse engine. The restored agent must continue
+// bitwise like an uninterrupted one.
+func TestLoadCheckpointSkipsUntrainedCostSection(t *testing.T) {
+	const T = 26
+	cases := []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"exact", func(o *Options) { o.MaxObservations = 8 }},
+		{"sparse", func(o *Options) {
+			o.Engine = EngineSparse
+			o.InducingPoints = 16
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions()
+			opts.DecomposedCost = true
+			tc.mut(&opts)
+			data, err := os.ReadFile("testdata/decomposed-gp00-" + tc.name + ".ckpt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			arch, err := checkpoint.DecodeBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arch.Find("GP00") == nil {
+				t.Fatal("fixture carries no GP00 section")
+			}
+			straight, err := NewAgent(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := runPeriods(t, straight, 0, T)
+			restored, err := LoadCheckpoint(bytes.NewReader(data), opts)
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			if restored.Observations() != T/2 {
+				t.Fatalf("restored period counter %d, want %d", restored.Observations(), T/2)
+			}
+			assertSameSteps(t, runPeriods(t, restored, T/2, T), full[T/2:])
+			for i, o := range straight.objs {
+				if !gpStatesEqual(o.gp.Snapshot(), restored.objs[i].gp.Snapshot()) {
+					t.Fatalf("final %s GP state diverged", objectiveNames[o.id])
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointRejectsOldVersions: a version-2 checkpoint fails
+// LoadCheckpoint and ReadCheckpointInfo alike with a
+// *checkpoint.VersionError, before any section is decoded.
+func TestCheckpointRejectsOldVersions(t *testing.T) {
+	opts := testOptions()
+	a, err := NewAgent(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPeriods(t, a, 0, 3)
+	var buf bytes.Buffer
+	if err := a.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[8], data[9] = 2, 0 // the little-endian u16 container version
+	var ve *checkpoint.VersionError
+	if _, err := LoadCheckpoint(bytes.NewReader(data), opts); !errors.As(err, &ve) || ve.Found != 2 {
+		t.Fatalf("LoadCheckpoint: err = %v, want VersionError{2}", err)
+	}
+	if _, err := ReadCheckpointInfo(bytes.NewReader(data)); !errors.As(err, &ve) || ve.Found != 2 {
+		t.Fatalf("ReadCheckpointInfo: err = %v, want VersionError{2}", err)
 	}
 }

@@ -57,6 +57,23 @@ func DefaultNormalization(w CostWeights) Normalization {
 	}
 }
 
+// fill replaces every zero-valued transform with its
+// DefaultNormalization(w) counterpart and checks the result: each
+// transform needs a finite center and a finite positive scale.
+func (n *Normalization) fill(w CostWeights) error {
+	def := DefaultNormalization(w)
+	defs := normAffines(&def)
+	for i, af := range normAffines(n) {
+		if *af == (Affine{}) {
+			*af = *defs[i]
+		}
+		if af.Scale <= 0 || !finite(af.Scale) || !finite(af.Center) {
+			return fmt.Errorf("core: %s normalization %+v needs a finite center and a finite positive scale", objectiveNames[i], *af)
+		}
+	}
+	return nil
+}
+
 // EngineSelector picks the GP inference engine an agent runs.
 type EngineSelector int
 
@@ -112,7 +129,8 @@ type Options struct {
 	// LengthScalesPerGP optionally overrides LengthScales per objective
 	// (0 = cost, 1 = delay, 2 = mAP) — the paper fits hyperparameters for
 	// each function i separately on prior data (§5 "Kernel selection").
-	// Nil entries fall back to LengthScales.
+	// Nil entries fall back to LengthScales. The DecomposedCost power
+	// surfaces take the cost entry.
 	LengthScalesPerGP [3][]float64
 	// NoiseVars are the observation-noise variances ζ² of the cost, delay,
 	// and mAP GPs over *normalized* targets; zero entries default to values
@@ -260,15 +278,8 @@ func (o *Options) applyDefaults() error {
 			return fmt.Errorf("core: noise variance %v must be finite and positive", o.NoiseVars[i])
 		}
 	}
-	def := DefaultNormalization(o.Weights)
-	defs := normAffines(&def)
-	for i, af := range normAffines(&o.Norm) {
-		if *af == (Affine{}) {
-			*af = *defs[i]
-		}
-		if af.Scale <= 0 || !finite(af.Scale) || !finite(af.Center) {
-			return fmt.Errorf("core: normalization %+v needs a finite center and a finite positive scale", *af)
-		}
+	if err := o.Norm.fill(o.Weights); err != nil {
+		return err
 	}
 	defPowerNoise := [2]float64{7e-3, 3e-2}
 	for i := range o.PowerNoiseVars {
@@ -360,14 +371,29 @@ func (m AcquisitionMode) String() string {
 // it, so default-configured agents keep their bitwise-exact behaviour.
 const acqAutoThreshold = 32768
 
-// gpCost, gpDelay, gpMAP index the agent's three GPs, matching the paper's
-// function indices i = 0 (cost), 1 (delay), 2 (mAP).
+// Objective ids, in normAffines order: the paper's function indices
+// i = 0 (cost), 1 (delay), 2 (mAP), then the server and BS power surfaces
+// that decomposed-cost agents learn in place of the cost.
 const (
 	gpCost = iota
 	gpDelay
 	gpMAP
-	numGPs
+	gpServerPower
+	gpBSPower
+	numObjectives
 )
+
+// objectiveNames label the objectives, indexed by id, in telemetry and in
+// the checkpoint's objective inventory.
+var objectiveNames = [numObjectives]string{"cost", "delay", "map", "server_power", "bs_power"}
+
+// objective is one function the agent learns: its GP and the GP's grid
+// sweep plan, which tracks the GP's basis as it grows.
+type objective struct {
+	id   int
+	gp   *gp.GP
+	plan *gp.SweepPlan
+}
 
 // Agent is the EdgeBOL learner (Algorithm 1). It is not safe for
 // concurrent use.
@@ -380,15 +406,9 @@ type Agent struct {
 	// adaptive agents, full coverage on all others (see acquire.go).
 	acq *acqEngine
 
-	gps [numGPs]*gp.GP
-	// powerGPs learn p_s (0) and p_b (1) in decomposed-cost mode.
-	powerGPs [2]*gp.GP
-
-	// plans are the per-objective grid sweep engines: distance tables over
-	// the grid levels that turn each period's cross-covariance into table
-	// lookups plus a per-training-point context scalar.
-	plans    [numGPs]*gp.SweepPlan
-	powPlans [2]*gp.SweepPlan
+	// objs are the learned objectives in id order: cost, delay and mAP, or
+	// under DecomposedCost delay, mAP, server power and BS power.
+	objs []objective
 
 	safeSeedIx []int // indices of seed controls within the grid
 	t          int
@@ -473,44 +493,42 @@ func NewAgent(opts Options) (*Agent, error) {
 		opts:     opts,
 		adaptive: opts.Acquisition == AcqAuto && opts.Grid.Size() > acqAutoThreshold && opts.Rule != AcquisitionSafeOpt,
 	}
-	newGP := func(ls []float64, noiseVar float64) (*gp.GP, error) {
+	levelVals, err := opts.Grid.LevelValues()
+	if err != nil {
+		return nil, err
+	}
+	ids := []int{gpCost, gpDelay, gpMAP}
+	if opts.DecomposedCost {
+		ids = []int{gpDelay, gpMAP, gpServerPower, gpBSPower}
+	}
+	// Per objective id: the LengthScalesPerGP entry, where the power
+	// surfaces stand in for the cost, and the noise variance.
+	lsEntry := [numObjectives]int{gpCost, gpDelay, gpMAP, gpCost, gpCost}
+	noise := [numObjectives]float64{opts.NoiseVars[0], opts.NoiseVars[1], opts.NoiseVars[2], opts.PowerNoiseVars[0], opts.PowerNoiseVars[1]}
+	for _, id := range ids {
+		ls := opts.LengthScales
+		if perGP := opts.LengthScalesPerGP[lsEntry[id]]; perGP != nil {
+			ls = perGP
+		}
 		k, err := gp.NewKernel(opts.Kernel, ls)
 		if err != nil {
 			return nil, err
 		}
+		var g *gp.GP
 		if opts.Engine == EngineSparse {
-			return gp.NewSparse(k, noiseVar, gp.SparseConfig{MaxInducing: opts.InducingPoints})
-		}
-		return gp.New(k, noiseVar, opts.MaxObservations), nil
-	}
-	for i := range a.gps {
-		ls := opts.LengthScales
-		if perGP := opts.LengthScalesPerGP[i]; perGP != nil {
-			ls = perGP
-		}
-		g, err := newGP(ls, opts.NoiseVars[i])
-		if err != nil {
-			return nil, err
-		}
-		a.gps[i] = g
-		a.gps[i].Instrument(opts.Telemetry, objectiveNames[i])
-	}
-	if opts.DecomposedCost {
-		ls := opts.LengthScales
-		if perGP := opts.LengthScalesPerGP[gpCost]; perGP != nil {
-			ls = perGP
-		}
-		for i := range a.powerGPs {
-			g, err := newGP(ls, opts.PowerNoiseVars[i])
-			if err != nil {
+			if g, err = gp.NewSparse(k, noise[id], gp.SparseConfig{MaxInducing: opts.InducingPoints}); err != nil {
 				return nil, err
 			}
-			a.powerGPs[i] = g
-			a.powerGPs[i].Instrument(opts.Telemetry, powerObjectiveNames[i])
+		} else {
+			g = gp.New(k, noise[id], opts.MaxObservations)
 		}
-	}
-	if err := a.buildPlans(); err != nil {
-		return nil, err
+		g.Instrument(opts.Telemetry, objectiveNames[id])
+		plan, err := gp.NewSweepPlan(g, ContextDims, levelVals)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s GP: %w", objectiveNames[id], err)
+		}
+		plan.Instrument(opts.Telemetry, objectiveNames[id])
+		a.objs = append(a.objs, objective{id: id, gp: g, plan: plan})
 	}
 	// Registry methods are nil-safe: with Telemetry == nil every handle is
 	// nil and each instrumented site costs one predictable branch.
@@ -548,31 +566,12 @@ func NewAgent(opts Options) (*Agent, error) {
 	return a, nil
 }
 
-// buildPlans builds the per-objective grid sweep plans from the grid's
-// level values. Each plan tracks its GP's basis as it grows.
-func (a *Agent) buildPlans() error {
-	levelVals, err := a.opts.Grid.LevelValues()
-	if err != nil {
-		return err
-	}
-	build := func(g *gp.GP, objective string) (*gp.SweepPlan, error) {
-		plan, err := gp.NewSweepPlan(g, ContextDims, levelVals)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s GP: %w", objective, err)
-		}
-		plan.Instrument(a.opts.Telemetry, objective)
-		return plan, nil
-	}
-	for i := range a.gps {
-		if a.plans[i], err = build(a.gps[i], objectiveNames[i]); err != nil {
-			return err
-		}
-	}
-	if a.opts.DecomposedCost {
-		for i := range a.powerGPs {
-			if a.powPlans[i], err = build(a.powerGPs[i], powerObjectiveNames[i]); err != nil {
-				return err
-			}
+// learned returns the GP of objective id, or nil when the agent does not
+// learn it. Every agent learns delay and mAP.
+func (a *Agent) learned(id int) *gp.GP {
+	for _, o := range a.objs {
+		if o.id == id {
+			return o.gp
 		}
 	}
 	return nil
@@ -580,7 +579,7 @@ func (a *Agent) buildPlans() error {
 
 // EngineActive reports the engine serving inference, "exact" or
 // "sparse": Options.Engine, fixed for the agent's life.
-func (a *Agent) EngineActive() string { return a.gps[gpDelay].EngineName() }
+func (a *Agent) EngineActive() string { return a.objs[0].gp.EngineName() }
 
 // AcquisitionEngine reports the resolved acquisition mode, also its
 // telemetry label: "exhaustive" or "adaptive" (never "auto").
@@ -595,10 +594,10 @@ func (a *Agent) AcquisitionEngine() string {
 // (every GP runs the same engine, so one is representative); 0 under the
 // exact engine.
 func (a *Agent) InducingPoints() int {
-	if !a.gps[gpDelay].IsSparse() {
-		return 0
+	if g := a.learned(gpDelay); g.IsSparse() {
+		return g.InducingLen()
 	}
-	return a.gps[gpDelay].InducingLen()
+	return 0
 }
 
 // Constraints returns the active constraints.
@@ -688,21 +687,40 @@ type Posterior struct {
 	Mean, Sigma float64
 }
 
-// PosteriorAt returns the normalized posterior beliefs (cost, delay, mAP)
-// at a context–control point, for diagnostics and visualization.
+// PosteriorAt returns the posterior beliefs (cost, delay, mAP) the
+// selection acts on at a context–control point, for diagnostics and
+// visualization. They are in normalized GP units, except that a
+// decomposed-cost agent's cost is in raw monetary units (decomposedCost).
 func (a *Agent) PosteriorAt(ctx Context, x Control) (cost, delay, mAP Posterior) {
 	z := Features(ctx, x)
-	var out [numGPs]Posterior
-	for i := range a.gps {
-		m, s := a.gps[i].Posterior(z)
-		out[i] = Posterior{Mean: m, Sigma: s}
+	var out [numObjectives]Posterior
+	for _, o := range a.objs {
+		m, s := o.gp.Posterior(z)
+		out[o.id] = Posterior{Mean: m, Sigma: s}
+	}
+	if a.opts.DecomposedCost {
+		out[gpCost] = a.decomposedCost(out[gpServerPower], out[gpBSPower])
 	}
 	return out[gpCost], out[gpDelay], out[gpMAP]
 }
 
+// decomposedCost combines a decomposed-cost agent's power posteriors into
+// its cost posterior, in raw monetary units (only the ranking matters for
+// the acquisition): μ_u = δ₁·p̂_s + δ₂·p̂_b and, with the two surfaces
+// modeled as independent GPs, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
+func (a *Agent) decomposedCost(ps, pb Posterior) Posterior {
+	w, s, b := a.opts.Weights, a.opts.Norm.ServerPower, a.opts.Norm.BSPower
+	ss, sb := w.Delta1*s.Scale*ps.Sigma, w.Delta2*b.Scale*pb.Sigma
+	return Posterior{
+		Mean:  w.Delta1*(ps.Mean*s.Scale+s.Center) + w.Delta2*(pb.Mean*b.Scale+b.Center),
+		Sigma: math.Sqrt(ss*ss + sb*sb),
+	}
+}
+
 // Observe runs lines 8–13 of Algorithm 1: it computes the cost from the
 // observed KPIs and appends the (context, control) → {u, d, ρ} samples to
-// the three GPs. It is all-or-nothing on bad input: an out-of-range
+// the objectives' GPs, with p_s and p_b in place of u under
+// DecomposedCost. It is all-or-nothing on bad input: an out-of-range
 // context, control or KPI, or a non-finite feature or normalized target,
 // is rejected before any GP changes.
 func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
@@ -716,32 +734,22 @@ func (a *Agent) Observe(ctx Context, x Control, k KPIs) error {
 		return err
 	}
 	z := Features(ctx, x)
-	n := a.opts.Norm
-	cost := n.Cost.Norm(a.opts.Weights.Cost(k))
-	ps, pb := n.ServerPower.Norm(k.ServerPower), n.BSPower.Norm(k.BSPower)
-	delay, mAP := n.Delay.Norm(k.Delay), n.MAP.Norm(k.MAP)
-	if err := checkFinite(z, cost, ps, pb, delay, mAP); err != nil {
+	raw := [numObjectives]float64{a.opts.Weights.Cost(k), k.Delay, k.MAP, k.ServerPower, k.BSPower}
+	var y [numObjectives]float64
+	for i, af := range normAffines(&a.opts.Norm) {
+		y[i] = af.Norm(raw[i])
+	}
+	if err := checkFinite(z, y[:]...); err != nil {
 		return fmt.Errorf("core: observation has %w", err)
 	}
-	if a.opts.DecomposedCost {
-		if err := a.powerGPs[0].Add(z, ps); err != nil {
-			return fmt.Errorf("core: server power GP: %w", err)
+	for _, o := range a.objs {
+		if err := o.gp.Add(z, y[o.id]); err != nil {
+			return fmt.Errorf("core: %s GP: %w", objectiveNames[o.id], err)
 		}
-		if err := a.powerGPs[1].Add(z, pb); err != nil {
-			return fmt.Errorf("core: BS power GP: %w", err)
-		}
-	} else if err := a.gps[gpCost].Add(z, cost); err != nil {
-		return fmt.Errorf("core: cost GP: %w", err)
-	}
-	if err := a.gps[gpDelay].Add(z, delay); err != nil {
-		return fmt.Errorf("core: delay GP: %w", err)
-	}
-	if err := a.gps[gpMAP].Add(z, mAP); err != nil {
-		return fmt.Errorf("core: mAP GP: %w", err)
 	}
 	a.t++
 	a.met.periods.Inc()
-	a.met.trainSize.Set(float64(a.gps[gpDelay].Len()))
+	a.met.trainSize.Set(float64(a.learned(gpDelay).Len()))
 	a.emitPeriod(ctx, x, k)
 	return nil
 }
@@ -775,9 +783,9 @@ func (a *Agent) emitPeriod(ctx Context, x Control, k KPIs) {
 	if a.met.reg == nil {
 		return
 	}
-	evictions := a.gps[gpDelay].Evictions() + a.gps[gpMAP].Evictions() + a.gps[gpCost].Evictions()
-	if a.opts.DecomposedCost {
-		evictions += a.powerGPs[0].Evictions() + a.powerGPs[1].Evictions()
+	var evictions uint64
+	for _, o := range a.objs {
+		evictions += o.gp.Evictions()
 	}
 	info := a.lastInfo
 	a.met.reg.EmitPeriod(telemetry.PeriodRecord{
@@ -804,7 +812,7 @@ func (a *Agent) emitPeriod(ctx Context, x Control, k KPIs) {
 		RefineRounds:        info.RefineRounds,
 		PostMean:            [3]float64{info.Cost.Mean, info.Delay.Mean, info.MAP.Mean},
 		PostSigma:           [3]float64{info.Cost.Sigma, info.Delay.Sigma, info.MAP.Sigma},
-		TrainSize:           a.gps[gpDelay].Len(),
+		TrainSize:           a.learned(gpDelay).Len(),
 		Evictions:           evictions,
 		Workers:             info.Workers,
 		SweepSeconds:        info.SweepSeconds,

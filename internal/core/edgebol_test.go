@@ -308,12 +308,46 @@ func TestObserveIsAllOrNothing(t *testing.T) {
 				if err := a.Observe(ctx, x, k); err != nil {
 					t.Fatal(err)
 				}
-				for i, g := range a.gps {
-					if g.Len() != 6 {
-						t.Fatalf("GP %d holds %d samples after 6 valid periods", i, g.Len())
+				for _, o := range a.objs {
+					if o.gp.Len() != 6 {
+						t.Fatalf("%s GP holds %d samples after 6 valid periods", objectiveNames[o.id], o.gp.Len())
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPosteriorAtMatchesSelection pins PosteriorAt to the beliefs the
+// selection acted on: at the selected control its cost, delay and mAP
+// equal SelectionInfo's bitwise, for joint-cost agents and for
+// decomposed-cost agents, whose cost combines the two power posteriors
+// under the current prices.
+func TestPosteriorAtMatchesSelection(t *testing.T) {
+	for _, decomposed := range []bool{false, true} {
+		opts := testOptions()
+		opts.DecomposedCost = decomposed
+		a, err := NewAgent(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			if decomposed && i == 6 {
+				if err := a.SetWeights(CostWeights{Delta1: 4e-3, Delta2: 5e-3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := scriptContext(i)
+			x, info := a.SelectControl(ctx)
+			cost, delay, mAP := a.PosteriorAt(ctx, x)
+			if !posteriorsBitwiseEqual(cost, info.Cost) || !posteriorsBitwiseEqual(delay, info.Delay) ||
+				!posteriorsBitwiseEqual(mAP, info.MAP) {
+				t.Fatalf("decomposed=%v, period %d: PosteriorAt (%+v, %+v, %+v), selection (%+v, %+v, %+v)",
+					decomposed, i, cost, delay, mAP, info.Cost, info.Delay, info.MAP)
+			}
+			if err := a.Observe(ctx, x, scriptKPIs(i, x)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -369,7 +403,7 @@ func TestSlidingWindowAgent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := a.gps[gpCost].Len(); got > 20 {
+	if got := a.learned(gpCost).Len(); got > 20 {
 		t.Fatalf("window not enforced: %d observations", got)
 	}
 	// The agent must still pick feasible controls.

@@ -22,16 +22,16 @@ type HistorySample struct {
 // exports everything the GPs retain (the full run under the sparse
 // engine, the sliding window under a bounded exact engine).
 //
-// Decomposed-cost agents return nil: there the cost GP is never trained
-// and the per-sample power targets are not representable in a
-// HistorySample, so an exported history would be unreplayable.
+// Decomposed-cost agents return nil: they learn no cost GP, and their
+// per-sample power targets are not representable in a HistorySample, so
+// an exported history would be unreplayable.
 func (a *Agent) History(max int) []HistorySample {
 	if a.opts.DecomposedCost {
 		return nil
 	}
-	xs, costs := a.gps[gpCost].Training(max)
-	_, delays := a.gps[gpDelay].Training(max)
-	_, maps := a.gps[gpMAP].Training(max)
+	xs, costs := a.learned(gpCost).Training(max)
+	_, delays := a.learned(gpDelay).Training(max)
+	_, maps := a.learned(gpMAP).Training(max)
 	n := len(costs)
 	if len(delays) < n {
 		n = len(delays)
@@ -76,8 +76,8 @@ func (a *Agent) History(max int) []HistorySample {
 // another's covariance, which is why fleet warm starts derive every cell
 // agent from one Options template.
 //
-// Decomposed-cost agents reject seeding (their cost GP is not trained on
-// scalar costs). On a validation error the agent is unchanged; an append
+// Decomposed-cost agents reject seeding (they learn the power surfaces,
+// not scalar costs). On a validation error the agent is unchanged; an append
 // error mid-replay leaves the samples already replayed in place, like a
 // mid-run Observe failure would.
 func (a *Agent) SeedHistory(samples []HistorySample) error {
@@ -94,18 +94,15 @@ func (a *Agent) SeedHistory(samples []HistorySample) error {
 		}
 	}
 	for i, s := range samples {
-		if err := a.gps[gpCost].Add(s.Features, s.Cost); err != nil {
-			return fmt.Errorf("core: seed sample %d: cost GP: %w", i, err)
-		}
-		if err := a.gps[gpDelay].Add(s.Features, s.Delay); err != nil {
-			return fmt.Errorf("core: seed sample %d: delay GP: %w", i, err)
-		}
-		if err := a.gps[gpMAP].Add(s.Features, s.MAP); err != nil {
-			return fmt.Errorf("core: seed sample %d: mAP GP: %w", i, err)
+		y := [numObjectives]float64{gpCost: s.Cost, gpDelay: s.Delay, gpMAP: s.MAP}
+		for _, o := range a.objs {
+			if err := o.gp.Add(s.Features, y[o.id]); err != nil {
+				return fmt.Errorf("core: seed sample %d: %s GP: %w", i, objectiveNames[o.id], err)
+			}
 		}
 		a.t++
 	}
-	a.met.trainSize.Set(float64(a.gps[gpDelay].Len()))
+	a.met.trainSize.Set(float64(a.learned(gpDelay).Len()))
 	return nil
 }
 

@@ -10,8 +10,8 @@ import (
 // GP's single-point Posterior, not the sweep), the eq. 8 safe set with the
 // informedness gate and the predictive delay bound, seed inclusion and
 // retirement, then the eq. 9 argmin (first index wins) or the SafeOpt
-// rule, and the least-violating-seed fallback. Joint-cost agents only:
-// PosteriorAt reads the cost GP.
+// rule, and the least-violating-seed fallback. A decomposed-cost agent's
+// cost posterior is combined here from the two power GPs.
 func bruteForceSelection(t *testing.T, a *Agent, ctx Context) (x Control, lcb float64, safeSize int, fromSeed bool) {
 	t.Helper()
 	o := a.opts
@@ -25,10 +25,24 @@ func bruteForceSelection(t *testing.T, a *Agent, ctx Context) (x Control, lcb fl
 	mAP := make([]Posterior, n)
 	for i, g := range grid {
 		cost[i], delay[i], mAP[i] = a.PosteriorAt(ctx, g)
+		if !o.DecomposedCost {
+			continue
+		}
+		// μ_u = δ₁·p̂_s + δ₂·p̂_b in raw units and, the surfaces being
+		// independent, σ_u² = (δ₁·s_s·σ_s)² + (δ₂·s_b·σ_b)².
+		z := Features(ctx, g)
+		ms, ss := a.learned(gpServerPower).Posterior(z)
+		mb, sb := a.learned(gpBSPower).Posterior(z)
+		w, ns, nb := o.Weights, o.Norm.ServerPower, o.Norm.BSPower
+		ss, sb = w.Delta1*ns.Scale*ss, w.Delta2*nb.Scale*sb
+		cost[i] = Posterior{
+			Mean:  w.Delta1*(ms*ns.Scale+ns.Center) + w.Delta2*(mb*nb.Scale+nb.Center),
+			Sigma: math.Sqrt(ss*ss + sb*sb),
+		}
 	}
 	dmax := o.Norm.Delay.Norm(o.Constraints.MaxDelay)
 	rmin := o.Norm.MAP.Norm(o.Constraints.MinMAP)
-	zeta := math.Sqrt(a.gps[gpDelay].NoiseVar())
+	zeta := math.Sqrt(a.learned(gpDelay).NoiseVar())
 	violates := func(i int) bool { return delay[i].Mean > dmax || mAP[i].Mean < rmin }
 	lcbAt := func(i int) float64 { return cost[i].Mean - o.AcqBeta*cost[i].Sigma }
 
@@ -137,6 +151,7 @@ func TestSelectControlMatchesBruteForce(t *testing.T) {
 		{"no safe set", func(o *Options) { o.DisableSafeSet = true }},
 		{"safeopt", func(o *Options) { o.Rule = AcquisitionSafeOpt }},
 		{"workers=3", func(o *Options) { o.InferenceWorkers = 3 }},
+		{"decomposed", func(o *Options) { o.DecomposedCost = true }},
 	}
 	for _, g := range grids {
 		for _, tc := range cases {

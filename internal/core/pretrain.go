@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/gp"
@@ -47,7 +48,8 @@ type PretrainOptions struct {
 	Norm Normalization
 	// MinLengthScale floors the fitted length scales. Safe-set expansion
 	// needs adjacent grid points strongly correlated, so the floor is tied
-	// to the grid step by Pretrain; override only with care.
+	// to the grid step by Pretrain (0 selects 8 steps); override only with
+	// care.
 	MinLengthScale float64
 }
 
@@ -75,15 +77,11 @@ func Pretrain(env Environment, grid GridSpec, w CostWeights, opts PretrainOption
 	if opts.FitIterations == 0 {
 		opts.FitIterations = 60
 	}
-	def := DefaultNormalization(w)
-	if opts.Norm.Cost == (Affine{}) {
-		opts.Norm.Cost = def.Cost
+	if opts.MinLengthScale < 0 || math.IsNaN(opts.MinLengthScale) {
+		return PretrainResult{}, fmt.Errorf("core: minimum length scale %v must be positive (0 selects the default)", opts.MinLengthScale)
 	}
-	if opts.Norm.Delay == (Affine{}) {
-		opts.Norm.Delay = def.Delay
-	}
-	if opts.Norm.MAP == (Affine{}) {
-		opts.Norm.MAP = def.MAP
+	if err := opts.Norm.fill(w); err != nil {
+		return PretrainResult{}, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +49,35 @@ func TestPretrainValidation(t *testing.T) {
 // TestPretrainIndexesTheGrid runs Pretrain on the 31⁴×8 grid, whose
 // enumeration alone takes about 280 MiB: the samples must be drawn by
 // grid index, not from a materialized grid.
+// TestPretrainRejectsBadOptions: every option NewAgent would reject, or
+// that gp.Fit cannot search, returns an error naming the bad input.
+func TestPretrainRejectsBadOptions(t *testing.T) {
+	w := CostWeights{Delta1: 1, Delta2: 1}
+	cases := []struct {
+		name string
+		mut  func(*PretrainOptions)
+		want string
+	}{
+		{"negative length-scale floor", func(o *PretrainOptions) { o.MinLengthScale = -1 }, "length scale -1"},
+		{"NaN length-scale floor", func(o *PretrainOptions) { o.MinLengthScale = math.NaN() }, "length scale NaN"},
+		{"infinite length-scale floor", func(o *PretrainOptions) { o.MinLengthScale = math.Inf(1) }, "length scales [+Inf, 6]"},
+		{"negative delay scale", func(o *PretrainOptions) { o.Norm.Delay.Scale = -0.1 }, "delay normalization {Center:0.5 Scale:-0.1}"},
+		{"NaN delay scale", func(o *PretrainOptions) { o.Norm.Delay.Scale = math.NaN() }, "delay normalization {Center:0.5 Scale:NaN}"},
+		{"infinite cost center", func(o *PretrainOptions) { o.Norm.Cost.Center = math.Inf(-1) }, "cost normalization {Center:-Inf"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := PretrainOptions{Samples: 8, FitIterations: 1, Norm: quadNorm()}
+			tc.mut(&opts)
+			env := &quadEnv{ctx: Context{NumUsers: 1, MeanCQI: 15}}
+			_, err := Pretrain(env, testGrid(), w, opts, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestPretrainIndexesTheGrid(t *testing.T) {
 	env := &quadEnv{ctx: Context{NumUsers: 1, MeanCQI: 15}}
 	w := CostWeights{Delta1: 1, Delta2: 1}

@@ -54,16 +54,16 @@ func TestSparseAgentRunsSparseFromStart(t *testing.T) {
 		t.Fatalf("engine %q, want sparse", a.EngineActive())
 	}
 	runPeriods(t, a, 0, 30)
-	for i, g := range a.gps {
-		if !g.IsSparse() {
-			t.Fatalf("GP %d not sparse", i)
+	for _, o := range a.objs {
+		if !o.gp.IsSparse() {
+			t.Fatalf("%s GP not sparse", objectiveNames[o.id])
 		}
-		if g.InducingLen() > 16 {
-			t.Fatalf("GP %d basis %d exceeds budget 16", i, g.InducingLen())
+		if o.gp.InducingLen() > 16 {
+			t.Fatalf("%s GP basis %d exceeds budget 16", objectiveNames[o.id], o.gp.InducingLen())
 		}
 	}
-	if a.gps[gpDelay].Len() != 30 {
-		t.Fatalf("history %d, want 30", a.gps[gpDelay].Len())
+	if n := a.learned(gpDelay).Len(); n != 30 {
+		t.Fatalf("history %d, want 30", n)
 	}
 }
 

@@ -84,15 +84,9 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 				}
 				x, info := a.SelectControl(ctx)
 				e := a.acq
-				if tc.decomposed {
-					for k, g := range a.powerGPs {
-						requireGeneric(i, powerObjectiveNames[k], g, e.powMu[k], e.powSigma[k])
-					}
-				} else {
-					requireGeneric(i, "cost", a.gps[gpCost], e.mu[gpCost], e.sigma[gpCost])
+				for _, o := range a.objs {
+					requireGeneric(i, objectiveNames[o.id], o.gp, e.mu[o.id], e.sigma[o.id])
 				}
-				requireGeneric(i, "delay", a.gps[gpDelay], e.mu[gpDelay], e.sigma[gpDelay])
-				requireGeneric(i, "map", a.gps[gpMAP], e.mu[gpMAP], e.sigma[gpMAP])
 				// The diagnostics report the winner's entries of those buffers.
 				gi := a.opts.Grid.Index(x)
 				if !controlsBitwiseEqual(x, grid[gi]) ||
@@ -109,7 +103,7 @@ func TestAgentSweepPlanMatchesGeneric(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tc.maxObs > 0 && a.gps[gpDelay].Evictions() == 0 {
+			if tc.maxObs > 0 && a.learned(gpDelay).Evictions() == 0 {
 				t.Fatal("eviction case never evicted: the rebuild path went unexercised")
 			}
 		})

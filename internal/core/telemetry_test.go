@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -76,5 +78,36 @@ func TestTelemetryZeroOverhead(t *testing.T) {
 				t.Errorf("%s %s allocates %v times", hs.name, op, n)
 			}
 		}
+	}
+}
+
+// TestDecomposedAgentLearnsFourObjectives: a decomposed-cost agent learns
+// delay, mAP and the two power surfaces, each with its own sweep plan, and
+// registers no GP or sweep-plan series for the cost it never trains.
+func TestDecomposedAgentLearnsFourObjectives(t *testing.T) {
+	opts := testOptions()
+	opts.DecomposedCost = true
+	opts.Telemetry = telemetry.NewRegistry()
+	a, err := NewAgent(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, o := range a.objs {
+		if o.plan == nil {
+			t.Fatalf("%s GP has no sweep plan", objectiveNames[o.id])
+		}
+		names = append(names, objectiveNames[o.id])
+	}
+	if got := strings.Join(names, ","); got != "delay,map,server_power,bs_power" {
+		t.Fatalf("objectives %s, want delay,map,server_power,bs_power", got)
+	}
+	runPeriods(t, a, 0, 3)
+	var buf bytes.Buffer
+	if err := opts.Telemetry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `gp="bs_power"`) || strings.Contains(buf.String(), `gp="cost"`) {
+		t.Fatalf("registry should carry bs_power series and no cost series:\n%s", buf.String())
 	}
 }

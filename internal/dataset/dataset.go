@@ -32,6 +32,9 @@ type Record struct {
 	Airtime    float64 `json:"airtime"`
 	GPUSpeed   float64 `json:"gpuSpeed"`
 	MCS        float64 `json:"mcs"`
+	// SplitLayer is omitted at 0 (all-edge inference), so records of grids
+	// without a split dimension serialize as they did before it existed.
+	SplitLayer float64 `json:"splitLayer,omitempty"`
 	// Observed KPIs.
 	DelaySeconds float64 `json:"delaySeconds"`
 	GPUDelay     float64 `json:"gpuDelaySeconds"`
@@ -44,7 +47,7 @@ type Record struct {
 func FromSample(ctx core.Context, x core.Control, k core.KPIs) Record {
 	return Record{
 		NumUsers: ctx.NumUsers, MeanCQI: ctx.MeanCQI, VarCQI: ctx.VarCQI,
-		Resolution: x.Resolution, Airtime: x.Airtime, GPUSpeed: x.GPUSpeed, MCS: x.MCS,
+		Resolution: x.Resolution, Airtime: x.Airtime, GPUSpeed: x.GPUSpeed, MCS: x.MCS, SplitLayer: x.SplitLayer,
 		DelaySeconds: k.Delay, GPUDelay: k.GPUDelay, MAP: k.MAP,
 		ServerPowerW: k.ServerPower, BSPowerW: k.BSPower,
 	}
@@ -58,7 +61,7 @@ func (r Record) Context() core.Context {
 // Control returns the record's control.
 func (r Record) Control() core.Control {
 	//edgebol:allow safectrl -- deserialization boundary: records replay controls captured from a grid-driven run, never synthesize new ones
-	return core.Control{Resolution: r.Resolution, Airtime: r.Airtime, GPUSpeed: r.GPUSpeed, MCS: r.MCS}
+	return core.Control{Resolution: r.Resolution, Airtime: r.Airtime, GPUSpeed: r.GPUSpeed, MCS: r.MCS, SplitLayer: r.SplitLayer}
 }
 
 // KPIs returns the record's observations.
@@ -144,8 +147,8 @@ type ReplayEnvironment struct {
 	ds  *Dataset
 	rng *rand.Rand
 	// byControl groups record indices by rounded control key.
-	byControl map[[4]int16][]int
-	keys      [][4]int16
+	byControl map[[5]int16][]int
+	keys      [][5]int16
 }
 
 // NewReplayEnvironment builds a replay environment. rng is required.
@@ -156,7 +159,7 @@ func NewReplayEnvironment(ds *Dataset, rng *rand.Rand) (*ReplayEnvironment, erro
 	if rng == nil {
 		return nil, fmt.Errorf("dataset: rand source required")
 	}
-	env := &ReplayEnvironment{ds: ds, rng: rng, byControl: make(map[[4]int16][]int)}
+	env := &ReplayEnvironment{ds: ds, rng: rng, byControl: make(map[[5]int16][]int)}
 	for i, r := range ds.Records {
 		k := controlKey(r.Control())
 		if _, seen := env.byControl[k]; !seen {
@@ -168,9 +171,9 @@ func NewReplayEnvironment(ds *Dataset, rng *rand.Rand) (*ReplayEnvironment, erro
 }
 
 // controlKey quantizes a control to merge float noise across records.
-func controlKey(x core.Control) [4]int16 {
+func controlKey(x core.Control) [5]int16 {
 	q := func(v float64) int16 { return int16(math.Round(v * 1000)) }
-	return [4]int16{q(x.Resolution), q(x.Airtime), q(x.GPUSpeed), q(x.MCS)}
+	return [5]int16{q(x.Resolution), q(x.Airtime), q(x.GPUSpeed), q(x.MCS), q(x.SplitLayer)}
 }
 
 // Context implements core.Environment: the context of a random record
@@ -194,7 +197,7 @@ func (e *ReplayEnvironment) Measure(x core.Control) (core.KPIs, error) {
 	bestDist := math.Inf(1)
 	for _, k := range e.keys {
 		var d float64
-		for i := 0; i < 4; i++ {
+		for i := range k {
 			diff := float64(k[i] - key[i])
 			d += diff * diff
 		}

@@ -113,6 +113,67 @@ func TestReplayEnvironmentServesRecordedControls(t *testing.T) {
 	}
 }
 
+// TestSplitGridRoundTripAndReplay: on a grid with two split levels,
+// every record keeps its split layer through Write and Read, a split-0
+// record serializes without the field, and replaying a split-1 control
+// serves only split-1 measurements.
+func TestSplitGridRoundTripAndReplay(t *testing.T) {
+	tb, err := testbed.New(testbed.DefaultConfig(), []ran.User{{SNRdB: 35}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := core.GridSpec{Levels: 2, MinResolution: 0.5, MinAirtime: 0.5}
+	grid.LevelsPerDim[4] = 2
+	ctls, err := grid.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Collect(tb, grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ds.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if first := strings.SplitN(buf.String(), "\n", 2)[0]; ctls[0].SplitLayer != 0 || strings.Contains(first, "splitLayer") {
+		t.Fatalf("split-0 record %s carries the split field", first)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var split1 core.Control
+	for i, r := range back.Records {
+		if want := ctls[i%len(ctls)]; r.Control() != want {
+			t.Fatalf("record %d reads back as %+v, collected at %+v", i, r.Control(), want)
+		}
+		if x := r.Control(); x.SplitLayer == 1 {
+			split1 = x
+		}
+	}
+	if split1.SplitLayer != 1 {
+		t.Fatal("no split-1 record collected")
+	}
+	env, err := NewReplayEnvironment(back, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		k, err := env.Measure(split1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, r := range back.Records {
+			found = found || (r.Control() == split1 && r.KPIs() == k)
+		}
+		if !found {
+			t.Fatalf("replay %d at %+v served %+v, which no split-1 record holds", i, split1, k)
+		}
+	}
+}
+
 func TestReplayEnvironmentNearestNeighbour(t *testing.T) {
 	ds := collectSmall(t)
 	env, err := NewReplayEnvironment(ds, rand.New(rand.NewSource(3)))

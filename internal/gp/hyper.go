@@ -70,6 +70,12 @@ func Fit(family Family, xs [][]float64, ys []float64, opts FitOptions) (Hyperpar
 	if opts.Iterations <= 0 {
 		return Hyperparams{}, 0, fmt.Errorf("gp: FitOptions.Iterations must be positive")
 	}
+	for _, b := range []float64{opts.LengthScaleMin, opts.LengthScaleMax, opts.NoiseVarMin, opts.NoiseVarMax} {
+		if !(b > 0) || math.IsInf(b, 1) {
+			return Hyperparams{}, 0, fmt.Errorf("gp: FitOptions bounds must be finite and positive, got length scales [%g, %g] and noise variances [%g, %g]",
+				opts.LengthScaleMin, opts.LengthScaleMax, opts.NoiseVarMin, opts.NoiseVarMax)
+		}
+	}
 	dim := len(xs[0])
 	best := Hyperparams{}
 	bestLL := math.Inf(-1)

@@ -60,6 +60,27 @@ func TestFitValidation(t *testing.T) {
 	if _, _, err := Fit(Matern32, xs, ys, badOpts); err == nil {
 		t.Fatal("expected error for zero iterations")
 	}
+	// Every search bound must be finite and positive; an inverted range is
+	// searched as given.
+	for i, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for _, set := range []func(*FitOptions){
+			func(o *FitOptions) { o.LengthScaleMin = bad },
+			func(o *FitOptions) { o.LengthScaleMax = bad },
+			func(o *FitOptions) { o.NoiseVarMin = bad },
+			func(o *FitOptions) { o.NoiseVarMax = bad },
+		} {
+			badOpts = opts
+			set(&badOpts)
+			if _, _, err := Fit(Matern32, xs, ys, badOpts); err == nil {
+				t.Fatalf("bound %d (%v) accepted", i, bad)
+			}
+		}
+	}
+	badOpts = opts
+	badOpts.LengthScaleMin, badOpts.LengthScaleMax = badOpts.LengthScaleMax, badOpts.LengthScaleMin
+	if _, _, err := Fit(Matern32, xs, ys, badOpts); err != nil {
+		t.Fatalf("inverted length-scale range rejected: %v", err)
+	}
 }
 
 func TestFitGeneralizes(t *testing.T) {

@@ -113,7 +113,6 @@ func NewKernel(family Family, lengthScales []float64) (*Kernel, error) {
 		if l <= 0 || math.IsNaN(l) {
 			return nil, fmt.Errorf("gp: length scale %d is %v, must be positive", i, l)
 		}
-		//edgebol:allow nanguard -- l was just checked positive
 		k.inv[i] = 1 / l
 	}
 	return k, nil

@@ -43,8 +43,7 @@ type State struct {
 	Evictions uint64
 
 	// Engine identifies the inference engine the state was learned under:
-	// "exact" or "sparse". Empty means "exact" (states written before the
-	// sparse engine existed). A state restores only into a GP running the
+	// "exact" or "sparse". A state restores only into a GP running the
 	// same engine — the learned representations are not interchangeable.
 	Engine string
 
@@ -153,14 +152,8 @@ func (g *GP) RestoreFrom(s State) error {
 	if s.Dim != g.dim {
 		return fmt.Errorf("gp: restore dimension %d into %d", s.Dim, g.dim)
 	}
-	engine := s.Engine
-	if engine == "" {
-		// States serialized before the sparse engine existed carry no
-		// engine tag; they are exact by construction.
-		engine = "exact"
-	}
-	if engine != g.EngineName() {
-		return fmt.Errorf("gp: restore %s-engine snapshot into %s engine", engine, g.EngineName())
+	if s.Engine != g.EngineName() {
+		return fmt.Errorf("gp: restore %s-engine snapshot into %s engine", s.Engine, g.EngineName())
 	}
 	n := len(s.Ys)
 	// The sliding window does not apply in sparse mode (eviction is a

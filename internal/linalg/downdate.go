@@ -24,7 +24,6 @@ func (c *Cholesky) Rank1Update(x []float64) {
 		rk := c.rowStart(k)
 		lkk := c.l[rk+k]
 		xk := x[k]
-		//edgebol:allow nanguard -- lkk² + xk² ≥ lkk² > 0: factor diagonals are positive by invariant
 		r := math.Sqrt(lkk*lkk + xk*xk)
 		//edgebol:allow nanguard -- lkk > 0: factor diagonals are positive by invariant
 		cth := r / lkk
