@@ -61,16 +61,18 @@ sparse-equiv:
 	sh scripts/test_gate.sh ./internal/experiment 'TestLongHorizon'
 
 # acq-equiv runs the acquisition equivalence suite: bitwise
-# SweepSubset-vs-Posterior agreement, SelectControl against a
-# brute-force scan of the selection rule written in test code (uniform,
-# split-carrying and non-uniform grids, serial and sharded sweeps),
+# SweepSubset-vs-Posterior agreement (shared kernel columns and the
+# mean-only screen included), SelectControl against a brute-force scan of
+# the selection rule written in test code (uniform, split-carrying and
+# non-uniform grids, serial and sharded sweeps), a twin whose unscored
+# slots hold garbage selecting exactly what its clean twin selects,
 # bounded regret within the evaluation budget on grids above the auto
 # threshold, grid index-algebra properties, the auto-mode resolution, and
 # the adaptive checkpoint round-trip. It runs through scripts/test_gate.sh
 # like sparse-equiv.
 acq-equiv:
 	sh scripts/test_gate.sh ./internal/gp 'TestSweepSubset'
-	sh scripts/test_gate.sh ./internal/core 'TestSelectControlMatchesBruteForce|TestGridNonUniform|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint'
+	sh scripts/test_gate.sh ./internal/core 'TestSelectControlMatchesBruteForce|TestSelectControlIgnoresUnscoredSlots|TestGridNonUniform|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint'
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,
 # and greps for the documented core/gp/oran/testbed metric families.

@@ -148,6 +148,12 @@ func TestDDPGLearns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DDPG training skipped in -short mode")
 	}
+	if raceEnabled {
+		// Neither bandit nor nn starts a goroutine, so the detector has
+		// nothing to find here, and it stretches this training run from
+		// seconds to minutes. The plain test run still trains it.
+		t.Skip("DDPG training skipped under the race detector")
+	}
 	env := &linEnv{ctx: core.Context{NumUsers: 1, MeanCQI: 15}, noise: rand.New(rand.NewSource(6))}
 	d, err := NewDDPG(DDPGOptions{
 		Grid:        benchGrid(),

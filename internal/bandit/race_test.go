@@ -1,0 +1,7 @@
+//go:build race
+
+package bandit
+
+// raceEnabled reports whether the test binary runs under the race
+// detector; norace_test.go holds the other half of the pair.
+const raceEnabled = true

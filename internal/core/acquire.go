@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/gp"
@@ -38,6 +37,12 @@ import (
 // safety test, same LCB, same seed retirement and fallback, same
 // tie-breaking on grid index. The budgeted mode holds a bounded optimum
 // regret while evaluating a few percent of the grid.
+//
+// Full coverage with the safe set on also screens the grid (see keep):
+// every candidate gets its delay and mAP means, and only the seeds and the
+// candidates eq. 8 can still certify from those means get the variance
+// solves. The budgeted mode keeps σ for every evaluated candidate, since
+// its searches rank unsafe candidates by how informed they are.
 const (
 	// informedSigma gates the safe-set test: a candidate is certified only
 	// when the posterior actually carries information about it — at prior
@@ -84,11 +89,20 @@ func predSigma(s, zeta float64) float64 { return math.Sqrt(s*s + zeta*zeta) }
 // idx/mu/sigma/lcb/rank/safe describes the s-th candidate evaluated this
 // period, in evaluation order. mu/sigma hold one buffer per learned
 // objective, indexed by objective id, plus the cost of a decomposed-cost
-// agent, which flush combines from the power posteriors.
+// agent, which flush combines from the power posteriors. A slot the screen
+// drops has safe = false and its other entries unwritten: the selection
+// reads mu, sigma and lcb only at safe and seed slots, and rank only in
+// the budgeted mode, which never screens.
 type acqEngine struct {
 	a        *Agent
 	gridSize int
 	maxEval  int
+
+	// plans are the objectives' sweep plans in Agent.objs order; outMu and
+	// outSigma hold a flush's windows of their mu/sigma buffers.
+	plans           []*gp.SweepPlan
+	outMu, outSigma [][]float64
+	screen          gp.Screen
 
 	// dimN and strideFlat are the per-dimension level counts and flat-
 	// index strides of the grid's Enumerate ordering (last dim fastest).
@@ -123,6 +137,7 @@ type acqEngine struct {
 	dmaxN, rminN, zetaD float64
 	workers             int
 	refineRounds        int
+	varianceSolves      int
 	budgetHit           bool
 	flooding            bool
 	improved            bool
@@ -171,6 +186,15 @@ func newAcqEngine(a *Agent) *acqEngine {
 			e.sigma[id] = make([]float64, e.maxEval)
 		}
 	}
+	e.outMu = make([][]float64, len(a.objs))
+	e.outSigma = make([][]float64, len(a.objs))
+	e.screen.Keep = e.keep
+	for i, o := range a.objs {
+		e.plans = append(e.plans, o.plan)
+		if o.id == gpDelay || o.id == gpMAP {
+			e.screen.Means = append(e.screen.Means, i) // delay precedes mAP
+		}
+	}
 	e.lcb = make([]float64, e.maxEval)
 	e.rank = make([]uint8, e.maxEval)
 	e.safe = make([]bool, e.maxEval)
@@ -198,6 +222,7 @@ func (e *acqEngine) reset(ctx Context) {
 	e.cf = ctx.appendFeatures(e.cbuf[:0])
 	e.n, e.done = 0, 0
 	e.refineRounds = 0
+	e.varianceSolves = 0
 	e.budgetHit = false
 	e.flooding = false
 	e.improved = false
@@ -523,38 +548,43 @@ func (e *acqEngine) flood() {
 	e.flush()
 }
 
-// flush evaluates the pending candidates [done, n): one SweepSubset batch
-// per learned objective, the decomposed-cost combination, and the
+// flush evaluates the pending candidates [done, n): one SweepSubset over
+// every learned objective, the decomposed-cost combination, and the
 // safety/LCB scoring. During the flood, newly scored slots join the
 // priority queue.
+//
+// safe[lo:hi] first marks the slots that get a full posterior: all of them
+// without a screen; with one, the seeds, then the screen's verdict (keep).
+// scoreRange then replaces each mark with the eq. 8 verdict.
 func (e *acqEngine) flush() {
 	lo, hi := e.done, e.n
 	if lo == hi {
 		return
 	}
 	a := e.a
-	idxs := e.idx[lo:hi]
-	// The per-objective batches are independent — disjoint output slices,
-	// shared read-only inputs, and the GP read path holds no mutable state
-	// — so they run concurrently, each internally sharded across workers.
-	var wg sync.WaitGroup
-	sweep := func(plan *gp.SweepPlan, mu, sigma []float64) {
-		if e.workers == 1 {
-			plan.SweepSubset(e.cf, idxs, mu, sigma, 1)
-			return
+	var screen *gp.Screen
+	if a.adaptive || a.opts.DisableSafeSet {
+		for s := lo; s < hi; s++ {
+			e.safe[s] = true
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			plan.SweepSubset(e.cf, idxs, mu, sigma, e.workers)
-		}()
+	} else {
+		for s := lo; s < hi; s++ {
+			e.safe[s] = false
+		}
+		for _, s := range e.seedSlot {
+			e.safe[s] = true
+		}
+		screen = &e.screen
 	}
-	for _, o := range a.objs {
-		sweep(o.plan, e.mu[o.id][lo:hi], e.sigma[o.id][lo:hi])
+	for i, o := range a.objs {
+		e.outMu[i], e.outSigma[i] = e.mu[o.id][lo:hi], e.sigma[o.id][lo:hi]
 	}
-	wg.Wait()
+	e.varianceSolves += gp.SweepSubset(e.plans, e.cf, e.idx[lo:hi], screen, e.outMu, e.outSigma, e.workers)
 	if a.opts.DecomposedCost {
 		for s := lo; s < hi; s++ {
+			if !e.safe[s] {
+				continue
+			}
 			c := a.decomposedCost(Posterior{Mean: e.mu[gpServerPower][s], Sigma: e.sigma[gpServerPower][s]},
 				Posterior{Mean: e.mu[gpBSPower][s], Sigma: e.sigma[gpBSPower][s]})
 			e.mu[gpCost][s], e.sigma[gpCost][s] = c.Mean, c.Sigma
@@ -569,9 +599,25 @@ func (e *acqEngine) flush() {
 	e.done = hi
 }
 
+// keep is the full-coverage screen, gp.Screen's Keep over the delay and mAP
+// means: a slot gets its variance solves when it is a seed (flush marked
+// it safe) or when eq. 8 can still certify it. scoreRange requires
+// μ_d + β·predSigma(σ_d, ζ_d) ≤ d_max and μ_ρ − β·σ_ρ ≥ ρ_min. For every
+// σ ≥ 0, predSigma(σ, ζ) ≥ ζ and μ_ρ − β·σ_ρ ≤ μ_ρ hold after rounding,
+// since rounding is monotone, so this test in the same floating-point
+// shape rejects only slots that scoreRange rejects. It records its verdict
+// in safe; the sweep's workers call it for distinct slots.
+func (e *acqEngine) keep(j int, means []float64) bool {
+	s := e.done + j
+	ok := e.safe[s] || (means[0]+e.a.opts.SafeBeta*e.zetaD <= e.dmaxN && means[1] >= e.rminN)
+	e.safe[s] = ok
+	return ok
+}
+
 // scoreRange applies the eq. 8 safety test and the eq. 9 LCB to freshly
 // evaluated slots, assigns their search ranks, and tracks the best safe
-// LCB for the flood's patience counter.
+// LCB for the flood's patience counter. A slot the screen dropped (flush
+// left it unmarked) stays unsafe and unscored.
 //
 // The delay test uses the predictive bound (predSigma); the mAP test uses
 // the latent bound: a finite-batch mAP estimate dipping below ρ^min is
@@ -584,6 +630,9 @@ func (e *acqEngine) scoreRange(lo, hi int) {
 	disable := a.opts.DisableSafeSet
 	sb, ab := a.opts.SafeBeta, a.opts.AcqBeta
 	for s := lo; s < hi; s++ {
+		if !e.safe[s] {
+			continue
+		}
 		sd := e.sigma[gpDelay][s]
 		sm := e.sigma[gpMAP][s]
 		ok := disable
@@ -665,8 +714,9 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	// safety test on its own merits.
 	fromSeed := e.mu[gpDelay][best]+a.opts.SafeBeta*e.sigma[gpDelay][best] > e.dmaxN ||
 		e.mu[gpMAP][best]-a.opts.SafeBeta*e.sigma[gpMAP][best] < e.rminN
-	// The sweep's sharding decision is driven by the basis size: training
-	// rows for the exact engine, inducing points for the sparse one.
+	// The sweep's sharding decision is driven by its work: one basis per
+	// objective — training rows for the exact engine, inducing points for
+	// the sparse one — against every candidate.
 	g := a.learned(gpDelay)
 	basis := g.Len()
 	if g.IsSparse() {
@@ -677,18 +727,20 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 		FromSeed:            fromSeed,
 		Adaptive:            a.adaptive,
 		CandidatesEvaluated: e.n,
+		VarianceSolves:      e.varianceSolves,
 		RefineRounds:        e.refineRounds,
 		LCB:                 bestLCB,
 		Cost:                Posterior{Mean: e.mu[gpCost][best], Sigma: e.sigma[gpCost][best]},
 		Delay:               Posterior{Mean: e.mu[gpDelay][best], Sigma: e.sigma[gpDelay][best]},
 		MAP:                 Posterior{Mean: e.mu[gpMAP][best], Sigma: e.sigma[gpMAP][best]},
-		Workers:             gp.ResolveWorkers(basis, e.n, e.workers),
+		Workers:             gp.ResolveWorkers(len(a.objs)*basis, e.n, e.workers),
 		SweepSeconds:        time.Since(start).Seconds(),
 	}
 	a.met.safeSize.Set(float64(nSafe))
 	a.met.lcb.Set(bestLCB)
 	a.met.sweep.Observe(info.SweepSeconds)
 	a.met.acqCandidates.Add(uint64(e.n))
+	a.met.acqVariance.Add(uint64(e.varianceSolves))
 	a.met.acqRefines.Add(uint64(e.refineRounds))
 	if e.budgetHit {
 		a.met.acqFallback.Inc()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -438,4 +439,87 @@ func TestAcqTelemetry(t *testing.T) {
 	if h, ok := snap.Histograms[`edgebol_acq_select_seconds{mode="exhaustive"}`]; !ok || h.Count != 3 {
 		t.Errorf("exhaustive latency histogram = %+v (present=%v), want count 3", h, ok)
 	}
+}
+
+// TestAcqWorkCounters pins the acquisition's work by count rather than by
+// time, so the screen's saving is checked on any host: the kernel columns
+// the sweep builds (edgebol_gp_sweep_columns_total, summed over the
+// objectives) and the candidates that get a variance
+// (SelectionInfo.VarianceSolves and edgebol_acq_variance_solves_total).
+func TestAcqWorkCounters(t *testing.T) {
+	run := func(t *testing.T, periods int, mut func(*Options)) (steps []stepResult, columns, solves uint64, size int) {
+		t.Helper()
+		opts := testOptions()
+		opts.Telemetry = telemetry.NewRegistry()
+		mut(&opts)
+		a, err := NewAgent(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = runAcqPeriods(t, a, 0, periods)
+		snap := opts.Telemetry.Snapshot()
+		for key, v := range snap.Counters {
+			if strings.HasPrefix(key, "edgebol_gp_sweep_columns_total{") {
+				columns += v
+			}
+		}
+		return steps, columns, snap.Counters["edgebol_acq_variance_solves_total"], opts.Grid.Size()
+	}
+	t.Run("shared kernel", func(t *testing.T) {
+		const T = 5
+		steps, columns, solves, size := run(t, T, func(o *Options) { o.DisableSafeSet = true })
+		if columns != T*uint64(size) {
+			t.Fatalf("built %d columns over %d periods of %d candidates, want one per candidate", columns, T, size)
+		}
+		for i, s := range steps {
+			if s.info.VarianceSolves != s.info.CandidatesEvaluated {
+				t.Fatalf("period %d: %d variance solves of %d candidates without the safe set",
+					i, s.info.VarianceSolves, s.info.CandidatesEvaluated)
+			}
+		}
+		if solves != T*uint64(size) {
+			t.Fatalf("edgebol_acq_variance_solves_total = %d, want %d", solves, T*size)
+		}
+	})
+	t.Run("per-objective kernels", func(t *testing.T) {
+		const T = 5
+		_, columns, _, size := run(t, T, func(o *Options) {
+			o.DisableSafeSet = true
+			for i := range o.LengthScalesPerGP {
+				ls := make([]float64, ContextDims+ControlDims)
+				for d := range ls {
+					ls[d] = 0.6 + 0.5*float64(i)
+				}
+				o.LengthScalesPerGP[i] = ls
+			}
+		})
+		if columns != 3*T*uint64(size) {
+			t.Fatalf("built %d columns over %d periods of %d candidates, want three per candidate", columns, T, size)
+		}
+	})
+	t.Run("screen", func(t *testing.T) {
+		const T = 40
+		// Constraints tight enough that, once learned, the means rule out
+		// part of the grid in every scripted context.
+		steps, columns, solves, size := run(t, T, func(o *Options) {
+			o.Constraints = Constraints{MaxDelay: 0.5, MinMAP: 0.4}
+		})
+		var sum uint64
+		for i, s := range steps {
+			sum += uint64(s.info.VarianceSolves)
+			if s.info.CandidatesEvaluated != size {
+				t.Fatalf("period %d scored %d candidates, want the whole grid of %d", i, s.info.CandidatesEvaluated, size)
+			}
+			if i >= T-10 && s.info.VarianceSolves >= s.info.CandidatesEvaluated {
+				t.Fatalf("period %d: %d variance solves of %d candidates: the screen dropped nothing",
+					i, s.info.VarianceSolves, s.info.CandidatesEvaluated)
+			}
+		}
+		if solves != sum {
+			t.Fatalf("edgebol_acq_variance_solves_total = %d, the periods report %d", solves, sum)
+		}
+		if columns != T*uint64(size) {
+			t.Fatalf("built %d columns over %d periods of %d candidates, want one per candidate", columns, T, size)
+		}
+	})
 }

@@ -153,10 +153,11 @@ type Options struct {
 	// per-candidate cost.
 	InducingPoints int
 	// InferenceWorkers is the degree of parallelism of the per-period
-	// posterior sweep: each objective's batched posterior is sharded across
-	// this many goroutines, and the objectives themselves run concurrently.
-	// 0 selects GOMAXPROCS; 1 runs the whole sweep serially on the calling
-	// goroutine. Selected controls are bitwise identical for every setting.
+	// posterior sweep: the candidates of each acquisition batch are sharded
+	// across this many goroutines, each evaluating every objective at its
+	// candidates. 0 scales the count with the work, up to GOMAXPROCS; 1
+	// runs the whole sweep serially on the calling goroutine. Selected
+	// controls are bitwise identical for every setting.
 	InferenceWorkers int
 	// DisableSafeSet turns off the eq. 8 safety filter, reducing EdgeBOL
 	// to plain contextual LCB minimization over the whole grid — the
@@ -431,10 +432,11 @@ type agentMetrics struct {
 	trainSize    *telemetry.Gauge
 	sweep        *telemetry.Histogram
 
-	// Acquisition-engine instrumentation: candidates whose posterior was
-	// actually computed, multigrid refinement rounds, budget-exhaustion
+	// Acquisition-engine instrumentation: candidates scored, candidates
+	// that got a variance, multigrid refinement rounds, budget-exhaustion
 	// fallbacks, and the selection latency split by engine mode.
 	acqCandidates *telemetry.Counter
+	acqVariance   *telemetry.Counter
 	acqRefines    *telemetry.Counter
 	acqFallback   *telemetry.Counter
 	acqLatency    *telemetry.Histogram
@@ -460,10 +462,15 @@ type SelectionInfo struct {
 	// Adaptive reports the agent's resolved acquisition mode: true under
 	// AcqAuto above acqAutoThreshold, where the budgeted search runs.
 	Adaptive bool
-	// CandidatesEvaluated is the number of grid points whose posterior
-	// was computed this period — the grid size for the exhaustive sweep,
-	// typically a few percent of it for the adaptive engine.
+	// CandidatesEvaluated is the number of grid points scored this period
+	// — the grid size under full coverage, typically a few percent of it
+	// for the adaptive engine. Each got at least the delay and mAP means.
 	CandidatesEvaluated int
+	// VarianceSolves is the number of those candidates that got their full
+	// posterior, σ included: the seeds and the candidates eq. 8 could
+	// still certify from their means under full coverage with the safe
+	// set on, every scored candidate otherwise.
+	VarianceSolves int
 	// RefineRounds is the number of multigrid refinement rounds the
 	// adaptive engine ran (0 under the exhaustive sweep).
 	RefineRounds int
@@ -549,6 +556,7 @@ func NewAgent(opts Options) (*Agent, error) {
 		ckptRestoreLat:   opts.Telemetry.Histogram("edgebol_ckpt_restore_seconds", telemetry.LatencyBuckets()),
 
 		acqCandidates: opts.Telemetry.Counter("edgebol_acq_candidates_evaluated"),
+		acqVariance:   opts.Telemetry.Counter("edgebol_acq_variance_solves_total"),
 		acqRefines:    opts.Telemetry.Counter("edgebol_acq_refine_rounds"),
 		acqFallback:   opts.Telemetry.Counter("edgebol_acq_fallback_total"),
 		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
@@ -661,8 +669,9 @@ func (a *Agent) invalidateDerived() {
 func (a *Agent) Observations() int { return a.t }
 
 // SelectControl runs lines 4–7 of Algorithm 1 for the given context:
-// compute the three posteriors over the grid, build the safe set (eq. 8,
-// always including S₀), and minimize the constrained LCB (eq. 9).
+// compute the posteriors over the grid (under full coverage, σ only where
+// the means leave eq. 8 open), build the safe set (eq. 8, always
+// including S₀), and minimize the constrained LCB (eq. 9).
 // Exhaustive agents evaluate every grid point; adaptive agents a budgeted
 // subset (see acquire.go).
 func (a *Agent) SelectControl(ctx Context) (Control, SelectionInfo) {
@@ -809,6 +818,7 @@ func (a *Agent) emitPeriod(ctx Context, x Control, k KPIs) {
 		LCB:                 info.LCB,
 		AcqMode:             a.AcquisitionEngine(),
 		CandidatesEvaluated: info.CandidatesEvaluated,
+		VarianceSolves:      info.VarianceSolves,
 		RefineRounds:        info.RefineRounds,
 		PostMean:            [3]float64{info.Cost.Mean, info.Delay.Mean, info.MAP.Mean},
 		PostSigma:           [3]float64{info.Cost.Sigma, info.Delay.Sigma, info.MAP.Sigma},

@@ -189,3 +189,98 @@ func TestSelectControlMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// selectionInfoBitsEq compares every field of two SelectionInfo values
+// bitwise, except the wall-clock SweepSeconds.
+func selectionInfoBitsEq(a, b SelectionInfo) bool {
+	post := func(x, y Posterior) bool { return f64bitsEq(x.Mean, y.Mean) && f64bitsEq(x.Sigma, y.Sigma) }
+	return a.SafeSetSize == b.SafeSetSize && a.FromSeed == b.FromSeed && a.Adaptive == b.Adaptive &&
+		a.CandidatesEvaluated == b.CandidatesEvaluated && a.VarianceSolves == b.VarianceSolves &&
+		a.RefineRounds == b.RefineRounds && f64bitsEq(a.LCB, b.LCB) &&
+		post(a.Cost, b.Cost) && post(a.Delay, b.Delay) && post(a.MAP, b.MAP) && a.Workers == b.Workers
+}
+
+// TestSelectControlIgnoresUnscoredSlots pins that the selection reads no
+// per-slot entry the period did not write: a slot the screen drops keeps
+// whatever its mu, sigma, lcb and rank held, and must not matter. Twin
+// agents receive the same observations; before every period one twin's
+// buffers are filled with garbage — NaN posteriors and LCBs, every slot
+// safe and of rank 0 — and both twins must choose the same control with
+// bitwise-equal diagnostics.
+func TestSelectControlIgnoresUnscoredSlots(t *testing.T) {
+	const T = 30
+	grids := []struct {
+		name string
+		grid func() GridSpec
+	}{
+		{"3p4", func() GridSpec { return testOptions().Grid }},
+		{"split", func() GridSpec {
+			g := testOptions().Grid
+			g.LevelsPerDim = [ControlDims]int{3, 4, 3, 2, 3}
+			return g
+		}},
+		{"non-uniform", func() GridSpec {
+			g := testOptions().Grid
+			g.LevelsPerDim = [ControlDims]int{3, 5, 2, 4, 1}
+			return g
+		}},
+	}
+	cases := []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"default", func(o *Options) {}},
+		{"evicting", func(o *Options) { o.MaxObservations = 8 }},
+		{"safeopt", func(o *Options) { o.Rule = AcquisitionSafeOpt }},
+		{"decomposed", func(o *Options) { o.DecomposedCost = true }},
+		{"sparse", func(o *Options) {
+			o.Engine = EngineSparse
+			o.InducingPoints = 16
+		}},
+	}
+	for _, g := range grids {
+		for _, tc := range cases {
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				opts := testOptions()
+				opts.Grid = g.grid()
+				tc.mut(&opts)
+				var twins [2]*Agent
+				for i := range twins {
+					a, err := NewAgent(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					twins[i] = a
+				}
+				clean, dirty := twins[0], twins[1]
+				screened := 0
+				for i := 0; i < T; i++ {
+					e := dirty.acq
+					for id := range e.mu {
+						for s := range e.mu[id] {
+							e.mu[id][s], e.sigma[id][s] = math.NaN(), math.NaN()
+						}
+					}
+					for s := range e.lcb {
+						e.lcb[s], e.safe[s], e.rank[s] = math.NaN(), true, 0
+					}
+					ctx := scriptContext(i)
+					x, info := clean.SelectControl(ctx)
+					dx, dinfo := dirty.SelectControl(ctx)
+					if !controlBitsEq(x, dx) || !selectionInfoBitsEq(info, dinfo) {
+						t.Fatalf("period %d: clean twin chose %+v %+v, dirty twin %+v %+v", i, x, info, dx, dinfo)
+					}
+					screened += info.CandidatesEvaluated - info.VarianceSolves
+					for _, a := range twins {
+						if err := a.Observe(ctx, x, acqKPIs(i, x)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if screened == 0 {
+					t.Fatal("the screen dropped no slot: the unscored path went unexercised")
+				}
+			})
+		}
+	}
+}

@@ -73,8 +73,8 @@ func benchLevels() [][]float64 {
 	return out
 }
 
-// benchSweep runs the full-grid SweepSubset of g's plan b.N times, the
-// agent's per-period posterior sweep for one objective.
+// benchSweep runs the full-grid SweepSubset of g's plan b.N times: the
+// agent's per-period posterior sweep for one objective, with no screen.
 func benchSweep(b *testing.B, g *GP, workers int) {
 	b.Helper()
 	levels := benchLevels()
@@ -91,7 +91,7 @@ func benchSweep(b *testing.B, g *GP, workers int) {
 	sigma := make([]float64, len(idxs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.SweepSubset(ctx, idxs, mu, sigma, workers)
+		sweepOne(plan, ctx, idxs, mu, sigma, workers)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestConcurrentPosteriorReads(t *testing.T) {
 			if p := plans[w]; p != nil {
 				mu := make([]float64, len(feats))
 				sigma := make([]float64, len(feats))
-				p.SweepSubset(nil, allIndices(p), mu, sigma, 1+w%3)
+				sweepOne(p, nil, allIndices(p), mu, sigma, 1+w%3)
 				for i := range feats {
 					if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 						errs <- "concurrent sweep diverged from serial reference"

@@ -304,8 +304,8 @@ func (g *GP) refreshAlpha() {
 
 // Posterior returns the posterior mean and standard deviation at x
 // (paper eq. 3–4). With no observations it returns the prior (0, √k(x,x)).
-// It is the reference the grid sweep is tested against:
-// SweepPlan.SweepSubset reproduces it bit for bit on both engines.
+// It is the reference the grid sweep is tested against: SweepSubset
+// reproduces it bit for bit on both engines.
 func (g *GP) Posterior(x []float64) (mu, sigma float64) {
 	if len(x) != g.dim {
 		panic(fmt.Sprintf("gp: input dimension %d does not match kernel dimension %d", len(x), g.dim))

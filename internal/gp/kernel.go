@@ -147,19 +147,22 @@ func (k *Kernel) EvalBatch(xs []float64, stride int, z []float64, out []float64)
 // scaledSqDistInv returns the anisotropic squared distance
 // Σ ((a_i−z_i)·inv_i)², i.e. d(z,z')² from paper eq. 5 with reciprocal
 // length scales, accumulated in two independent chains so the
-// floating-point adds pipeline.
+// floating-point adds pipeline. Each square is rounded before it is added
+// (the explicit conversion forbids a fused multiply-add), so the sum is
+// the one the sweep plan assembles from its tables of rounded squares on
+// every architecture.
 func scaledSqDistInv(a, z, inv []float64) float64 {
 	var s0, s1 float64
 	j := 0
 	for ; j+1 < len(inv); j += 2 {
 		d0 := (a[j] - z[j]) * inv[j]
 		d1 := (a[j+1] - z[j+1]) * inv[j+1]
-		s0 += d0 * d0
-		s1 += d1 * d1
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
 	}
 	if j < len(inv) {
 		d := (a[j] - z[j]) * inv[j]
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1
 }

@@ -36,17 +36,17 @@ import (
 //
 // Bitwise contract: SweepSubset reproduces Posterior at the listed grid
 // points bit for bit, for every worker count. The per-dimension terms are
-// accumulated in the same two even/odd chains, in the same order, as the
-// kernel's scaledSqDistInv — the context dimensions come first, so the
-// per-period context partials are valid prefixes of both chains — the
-// squared distances go through the same Family.cov as EvalBatch, and the
-// fused tiled solve gives every column the operation sequence of
-// Posterior's forward solve and dot products.
+// rounded squares accumulated in the same two even/odd chains, in the same
+// order, as the kernel's scaledSqDistInv — the context dimensions come
+// first, so the per-period context partials are valid prefixes of both
+// chains — the squared distances go through the same Family.cov as
+// EvalBatch, and the fused tiled solve gives every column the operation
+// sequence of Posterior's forward solve and dot products.
 //
 // Concurrency: like the GP read path, SweepSubset must not run
-// concurrently with Add or with another sweep on the same plan (it
-// refreshes the distance tables); distinct plans over distinct GPs may
-// sweep concurrently, and SweepSubset shards its own work internally.
+// concurrently with Add or with another sweep over the same plans (it
+// refreshes the distance tables); sweeps over disjoint plans may run
+// concurrently, and SweepSubset shards its own work internally.
 type SweepPlan struct {
 	g       *GP
 	ctxDims int
@@ -73,6 +73,7 @@ type SweepPlan struct {
 type planMetrics struct {
 	builds    *telemetry.Counter
 	refreshes *telemetry.Counter
+	columns   *telemetry.Counter
 	rows      *telemetry.Gauge
 }
 
@@ -128,12 +129,15 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 }
 
 // Instrument registers the plan's telemetry series on reg, labeled with
-// the objective name: table build/refresh counters and the cached-row
-// gauge. A nil registry leaves telemetry disabled at zero cost.
+// the objective name: table build/refresh counters, the cached-row gauge
+// and the count of kernel columns built from the plan's tables while it
+// leads a column group (see SweepSubset). A nil registry leaves telemetry
+// disabled at zero cost.
 func (p *SweepPlan) Instrument(reg *telemetry.Registry, objective string) {
 	p.met = planMetrics{
 		builds:    reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", objective),
 		refreshes: reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", objective),
+		columns:   reg.Counter("edgebol_gp_sweep_columns_total", "gp", objective),
 		rows:      reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", objective),
 	}
 	p.met.rows.Set(float64(p.rows))
@@ -190,7 +194,9 @@ func (p *SweepPlan) sync() {
 // accumulation chains of scaledSqDistInv restricted to the context
 // dimensions, one entry per basis row, into the plan's reused buffers.
 // Because the context dimensions precede the control dimensions, each
-// partial is the exact floating-point prefix of its chain.
+// partial is the exact floating-point prefix of its chain. Each square is
+// rounded before it is added, as in scaledSqDistInv and the tables: the
+// explicit conversion forbids the compiler to fuse the multiply-add.
 func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 	if cap(p.c0) < n {
 		p.c0 = make([]float64, n)
@@ -206,9 +212,9 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 		for j, x := range row {
 			t := (x - ctx[j]) * inv[j]
 			if j%2 == 0 {
-				s0 += t * t
+				s0 += float64(t * t)
 			} else {
-				s1 += t * t
+				s1 += float64(t * t)
 			}
 		}
 		c0[i], c1[i] = s0, s1
@@ -216,138 +222,381 @@ func (p *SweepPlan) contextPartials(ctx []float64, n int) (c0, c1 []float64) {
 	return c0, c1
 }
 
-// SweepSubset evaluates the GP posterior at the grid points whose flat
-// indices are listed in idxs (each in [0, GridSize()), enumeration order),
-// writing into mu and sigma (each of length len(idxs), parallel to idxs).
-// workers is the degree of parallelism: the list is split into contiguous
-// tile-aligned shards, one goroutine each with its own scratch; workers <= 0
-// scales the count with the work (see ResolveWorkers) and 1 runs serially
-// on the calling goroutine. Output j equals Posterior at the features of
-// grid index idxs[j] bitwise, for every worker count and any subset
-// composition: the per-column math is independent of how columns are tiled
-// and sharded. A full sweep passes every index in order; the acquisition's
-// budgeted mode passes a few percent of them, and a period costs
-// O(len(idxs)).
-func (p *SweepPlan) SweepSubset(ctx []float64, idxs []int32, mu, sigma []float64, workers int) {
-	if len(ctx) != p.ctxDims {
-		panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
-	}
-	if len(mu) != len(idxs) || len(sigma) != len(idxs) {
-		panic(fmt.Sprintf("gp: SweepSubset output lengths %d, %d do not match %d indices", len(mu), len(sigma), len(idxs)))
-	}
-	g := p.g
-	if g.met.sweep != nil {
-		start := time.Now()
-		defer func() { g.met.sweep.ObserveDuration(time.Since(start)) }()
-	}
-	n := g.basisLen()
-	if n == 0 {
-		for i := range mu {
-			mu[i] = 0
-			sigma[i] = math.Sqrt(priorVar)
-		}
-		return
-	}
-	p.sync()
-	c0, c1 := p.contextPartials(ctx, n)
-	m := len(idxs)
-	workers = ResolveWorkers(n, m, workers)
-	if workers <= 1 {
-		p.sweepSubsetRange(idxs, 0, m, c0, c1, mu, sigma)
-		return
-	}
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + sweepTile - 1) / sweepTile * sweepTile
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.sweepSubsetRange(idxs, lo, hi, c0, c1, mu, sigma)
-		}(lo, hi)
-	}
-	wg.Wait()
+// Screen is SweepSubset's optional mean-only pre-test. A posterior mean
+// costs one dot product with a candidate's kernel column, a variance one
+// triangular solve per factor; and once a learner has data, the means alone
+// often settle a candidate: a bound test μ + β·σ ≤ b cannot pass where μ
+// alone fails it, since σ ≥ 0. With a screen, the sweep computes the Means
+// plans' means for every candidate and spends the solves only on those Keep
+// accepts.
+type Screen struct {
+	// Means lists the plans, by position in SweepSubset's plans argument,
+	// whose posterior means Keep reads, in the order it receives them.
+	Means []int
+	// Keep reports whether the candidate at position j of the index list
+	// gets its full posterior, given the Means plans' means there. The
+	// sweep calls it once per candidate, concurrently from its workers for
+	// distinct j.
+	Keep func(j int, means []float64) bool
 }
 
-// sweepSubsetRange evaluates positions [lo, hi) of idxs, writing results
-// at the same positions of mu and sigma: per candidate, assemble the
-// cross-covariance column from the distance tables and context partials,
-// then run tiles of sweepTile columns through the fused solve; a column's
-// arithmetic does not depend on its tile, so shard boundaries never change
-// results. Sparse engine: the assembled columns are cross-covariances to
-// the inducing basis and each tile solves against both m-sized factors,
-// the two solves of Posterior's sparse branch.
+// SweepSubset evaluates the posterior of every plan's GP at the grid
+// points whose flat indices are listed in idxs (each in [0, GridSize()),
+// enumeration order): plan i writes mu[i] and sigma[i], each of length
+// len(idxs) and parallel to idxs. The plans must sweep one grid (equal
+// context dimension and level values).
+//
+// Plans whose GPs share the kernel family, the length scales, the engine
+// and the basis rows form a column group. The sweep builds each
+// candidate's cross-covariance column once per group, from the first
+// member's distance tables, and runs every member's own fused solves on
+// it. Groups are recomputed on every call, so GPs that receive the same
+// inputs in lockstep share their columns with no further bookkeeping, and
+// a plan that matches no other forms a group of one.
+//
+// With a nil screen every output is written. With a screen, the Means
+// plans' mu is written at every position and the remaining outputs only at
+// the positions Keep accepted; the others keep what they held. SweepSubset
+// returns the number of accepted positions (len(idxs) without a screen).
+// Every written output equals Posterior at the features of grid index
+// idxs[j] bitwise, for every worker count, screen and subset composition:
+// a screened mean is Posterior's linalg.Dot over the same column, and a
+// column's arithmetic never depends on its tile or shard.
+//
+// workers is the degree of parallelism: the list is split into contiguous
+// tile-aligned shards, one goroutine each with its own scratch; workers <=
+// 0 scales the count with the work, len(plans) basis rows per candidate
+// (see ResolveWorkers), and 1 runs serially on the calling goroutine. The
+// call's duration is observed once, on the first plan's GP's
+// edgebol_gp_sweep_seconds series.
+func SweepSubset(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen, mu, sigma [][]float64, workers int) int {
+	if len(plans) == 0 {
+		panic("gp: SweepSubset needs at least one plan")
+	}
+	if len(mu) != len(plans) || len(sigma) != len(plans) {
+		panic(fmt.Sprintf("gp: SweepSubset has %d, %d outputs for %d plans", len(mu), len(sigma), len(plans)))
+	}
+	p0 := plans[0]
+	for i, p := range plans {
+		if len(ctx) != p.ctxDims {
+			panic(fmt.Sprintf("gp: SweepSubset context dimension %d does not match plan's %d", len(ctx), p.ctxDims))
+		}
+		if !sameGrid(p, p0) {
+			panic("gp: SweepSubset plans sweep different grids")
+		}
+		if len(mu[i]) != len(idxs) || len(sigma[i]) != len(idxs) {
+			panic(fmt.Sprintf("gp: SweepSubset output lengths %d, %d do not match %d indices", len(mu[i]), len(sigma[i]), len(idxs)))
+		}
+	}
+	if h := p0.g.met.sweep; h != nil {
+		start := time.Now()
+		defer func() { h.ObserveDuration(time.Since(start)) }()
+	}
+	s := newSweep(plans, ctx, idxs, screen, mu, sigma)
+	m := len(idxs)
+	kept := 0
+	workers = ResolveWorkers(len(plans)*p0.g.basisLen(), m, workers)
+	if workers <= 1 {
+		kept = s.shard(0, m)
+	} else {
+		chunk := (m + workers - 1) / workers
+		chunk = (chunk + sweepTile - 1) / sweepTile * sweepTile
+		counts := make([]int, workers)
+		var wg sync.WaitGroup
+		for w, lo := 0, 0; lo < m; w, lo = w+1, lo+chunk {
+			wg.Add(1)
+			go func(w, lo, hi int) {
+				defer wg.Done()
+				counts[w] = s.shard(lo, hi)
+			}(w, lo, min(lo+chunk, m))
+		}
+		wg.Wait()
+		for _, c := range counts {
+			kept += c
+		}
+	}
+	for _, gr := range s.groups {
+		built := kept
+		if gr.screened {
+			built = m
+		}
+		gr.lead.met.columns.Add(uint64(built))
+	}
+	return kept
+}
+
+// sweep is one SweepSubset call's state, read-only once built.
+type sweep struct {
+	plans     []*SweepPlan
+	groups    []sweepGroup
+	group     []int // plan position → its column group
+	idxs      []int32
+	screen    *Screen
+	mu, sigma [][]float64
+}
+
+// sweepGroup is a column group: plans whose GPs produce bitwise-equal
+// cross-covariance columns.
+type sweepGroup struct {
+	lead     *SweepPlan // the first member; its tables build the columns
+	members  []int      // plan positions, ascending
+	screened bool       // a member's mean feeds the screen
+	n        int        // basis rows
+	c0, c1   []float64  // the lead's context partials
+}
+
+// newSweep partitions the plans into column groups and brings each
+// group's lead up to date: table rows and context partials. Only leads
+// are synced; a plan that only follows keeps its tables as they are until
+// it leads, when sync catches up with its GP.
+func newSweep(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen, mu, sigma [][]float64) *sweep {
+	s := &sweep{plans: plans, group: make([]int, len(plans)), idxs: idxs, screen: screen, mu: mu, sigma: sigma}
+	for i, p := range plans {
+		k := 0
+		for k < len(s.groups) && !sharesColumns(s.groups[k].lead, p) {
+			k++
+		}
+		if k == len(s.groups) {
+			s.groups = append(s.groups, sweepGroup{lead: p})
+		}
+		s.groups[k].members = append(s.groups[k].members, i)
+		s.group[i] = k
+	}
+	if screen != nil {
+		for _, i := range screen.Means {
+			s.groups[s.group[i]].screened = true
+		}
+	}
+	for k := range s.groups {
+		gr := &s.groups[k]
+		gr.n = gr.lead.g.basisLen()
+		gr.lead.sync()
+		gr.c0, gr.c1 = gr.lead.contextPartials(ctx, gr.n)
+	}
+	return s
+}
+
+// sharesColumns reports whether two plans' GPs produce bitwise-equal
+// cross-covariance columns on their common grid: the same kernel family,
+// length scales, engine and basis rows. It costs O(n·d) compares, noise
+// next to the sweep that follows.
+func sharesColumns(a, b *SweepPlan) bool {
+	ga, gb := a.g, b.g
+	n := ga.basisLen()
+	return ga.kernel.family == gb.kernel.family && (ga.sp == nil) == (gb.sp == nil) &&
+		gb.basisLen() == n && sameBits(ga.kernel.ls, gb.kernel.ls) &&
+		sameBits(ga.basisXs()[:n*ga.dim], gb.basisXs()[:n*gb.dim])
+}
+
+// sameGrid reports whether two plans sweep the same grid.
+func sameGrid(a, b *SweepPlan) bool {
+	if a.ctxDims != b.ctxDims || len(a.levels) != len(b.levels) {
+		return false
+	}
+	for d, lv := range a.levels {
+		if !sameBits(lv, b.levels[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether two slices hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// meanWeights returns the vector a posterior mean dots the kernel column
+// with: α of the exact engine, the DTC α of the sparse one.
+func meanWeights(g *GP) []float64 {
+	if g.sp != nil {
+		return g.sp.alpha
+	}
+	return g.alpha
+}
+
+// shardScratch is the working memory one shard owns.
+type shardScratch struct {
+	li           []int
+	rowsE, rowsO [][]float64
+	// cols holds each group's pending columns; spare takes a copy for every
+	// solve but a group's last, since a fused solve consumes its columns.
+	cols      [][][]float64
+	spare     []float64
+	spareCols [][]float64
+	means     []float64
+	pos       [sweepTile]int // index-list position of each pending column
+	mt, vsq   [sweepTile]float64
+	muNy      [sweepTile]float64
+	vsqNy     [sweepTile]float64
+	solver    linalg.FusedSolver
+}
+
+func (s *sweep) newShardScratch(tile int) *shardScratch {
+	p := s.plans[0]
+	sc := &shardScratch{
+		li:        make([]int, len(p.levels)),
+		rowsE:     make([][]float64, len(p.evens)),
+		rowsO:     make([][]float64, len(p.odds)),
+		cols:      make([][][]float64, len(s.groups)),
+		spareCols: make([][]float64, tile),
+	}
+	spare := 0
+	for k, gr := range s.groups {
+		buf := make([]float64, tile*gr.n)
+		sc.cols[k] = make([][]float64, tile)
+		for b := range sc.cols[k] {
+			sc.cols[k][b] = buf[b*gr.n : (b+1)*gr.n]
+		}
+		spare = max(spare, len(buf))
+	}
+	sc.spare = make([]float64, spare)
+	if s.screen != nil {
+		sc.means = make([]float64, len(s.screen.Means))
+	}
+	return sc
+}
+
+// shard evaluates positions [lo, hi) of the index list and returns how
+// many it kept. Per candidate it builds the screened groups' columns, lets
+// the screen decide from their means, and builds the other groups' columns
+// only for a kept candidate, into the pending tile. Full tiles go through
+// solvePending, and so does the remainder at the end of the shard.
 //
 //edgebol:hot
-func (p *SweepPlan) sweepSubsetRange(idxs []int32, lo, hi int, c0, c1, mu, sigma []float64) {
-	g := p.g
-	n := g.basisLen()
-	tile := hi - lo
-	if tile > sweepTile {
-		tile = sweepTile
-	}
-	buf := make([]float64, tile*n)
-	views := make([][]float64, tile)
-	for b := range views {
-		views[b] = buf[b*n : (b+1)*n]
-	}
-	var buf2 []float64
-	var views2 [][]float64
-	if g.sp != nil {
-		buf2 = make([]float64, tile*n)
-		views2 = make([][]float64, tile)
-		for b := range views2 {
-			views2[b] = buf2[b*n : (b+1)*n]
-		}
-	}
-	var solver linalg.FusedSolver
-	var vsq, vsqNy, muNy [sweepTile]float64
-	li := make([]int, len(p.levels))
-	rowsE := make([][]float64, len(p.evens))
-	rowsO := make([][]float64, len(p.odds))
-	for base := lo; base < hi; base += tile {
-		m := hi - base
-		if m > tile {
-			m = tile
-		}
-		for b := 0; b < m; b++ {
-			p.levelIndices(int(idxs[base+b]), li)
-			for e, d := range p.evens {
-				rowsE[e] = p.tables[d][li[d]][:n]
+func (s *sweep) shard(lo, hi int) int {
+	tile := min(hi-lo, sweepTile)
+	sc := s.newShardScratch(tile)
+	kept, pending := 0, 0
+	for j := lo; j < hi; j++ {
+		s.plans[0].levelIndices(int(s.idxs[j]), sc.li)
+		if s.screen != nil {
+			for k := range s.groups {
+				if s.groups[k].screened {
+					s.buildColumn(sc, k, pending)
+				}
 			}
-			for o, d := range p.odds {
-				rowsO[o] = p.tables[d][li[d]][:n]
+			for q, i := range s.screen.Means {
+				sc.means[q] = linalg.Dot(sc.cols[s.group[i]][pending], meanWeights(s.plans[i].g))
+				s.mu[i][j] = sc.means[q]
 			}
-			col := views[b]
-			fillSqDist(col, c0, c1, rowsE, rowsO)
-			g.kernel.family.cov(col)
+			if !s.screen.Keep(j, sc.means) {
+				continue
+			}
 		}
-		if g.sp != nil {
-			copy(buf2, buf)
-			solver.SolveFused(g.sp.cholSig, views[:m], g.sp.alpha, mu[base:base+m], vsq[:m])
-			solver.SolveFused(g.sp.cholKmm, views2[:m], g.sp.zeroAlpha[:n], muNy[:m], vsqNy[:m])
-			for b := 0; b < m; b++ {
+		for k := range s.groups {
+			if !s.groups[k].screened {
+				s.buildColumn(sc, k, pending)
+			}
+		}
+		sc.pos[pending] = j
+		pending++
+		kept++
+		if pending == tile {
+			s.solvePending(sc, pending)
+			pending = 0
+		}
+	}
+	if pending > 0 {
+		s.solvePending(sc, pending)
+	}
+	return kept
+}
+
+// buildColumn assembles group k's cross-covariance column for the
+// candidate whose level indices sc.li holds into pending slot b: the
+// squared distances from the lead's tables and context partials, then the
+// family's covariance.
+//
+//edgebol:hot
+func (s *sweep) buildColumn(sc *shardScratch, k, b int) {
+	gr := &s.groups[k]
+	p := gr.lead
+	for e, d := range p.evens {
+		sc.rowsE[e] = p.tables[d][sc.li[d]][:gr.n]
+	}
+	for o, d := range p.odds {
+		sc.rowsO[o] = p.tables[d][sc.li[d]][:gr.n]
+	}
+	col := sc.cols[k][b]
+	fillSqDist(col, gr.c0, gr.c1, sc.rowsE, sc.rowsO)
+	p.g.kernel.family.cov(col)
+}
+
+// solvePending runs the cnt pending columns of every group through each
+// member's fused solves — one against the exact engine's factor, or the
+// two of Posterior's sparse branch — and writes the results at the
+// candidates' positions. A fused solve consumes its columns, so every
+// solve but a group's last runs on a copy.
+//
+//edgebol:hot
+func (s *sweep) solvePending(sc *shardScratch, cnt int) {
+	pos := sc.pos[:cnt]
+	mt, vsq := sc.mt[:cnt], sc.vsq[:cnt]
+	muNy, vsqNy := sc.muNy[:cnt], sc.vsqNy[:cnt]
+	for k := range s.groups {
+		gr := &s.groups[k]
+		if gr.n == 0 {
+			for _, i := range gr.members {
+				for _, j := range pos {
+					s.mu[i][j], s.sigma[i][j] = 0, math.Sqrt(priorVar)
+				}
+			}
+			continue
+		}
+		solves := len(gr.members)
+		if gr.lead.g.sp != nil {
+			solves *= 2
+		}
+		for _, i := range gr.members {
+			g := s.plans[i].g
+			if g.sp == nil {
+				solves--
+				sc.solver.SolveFused(g.chol, sc.operand(k, gr.n, cnt, solves == 0), g.alpha, mt, vsq)
+				for b, j := range pos {
+					v := priorVar - vsq[b]
+					if v < 0 {
+						v = 0
+					}
+					s.mu[i][j], s.sigma[i][j] = mt[b], math.Sqrt(v)
+				}
+				continue
+			}
+			solves -= 2
+			sc.solver.SolveFused(g.sp.cholSig, sc.operand(k, gr.n, cnt, false), g.sp.alpha, mt, vsq)
+			sc.solver.SolveFused(g.sp.cholKmm, sc.operand(k, gr.n, cnt, solves == 0), g.sp.zeroAlpha[:gr.n], muNy, vsqNy)
+			for b, j := range pos {
 				v := priorVar - vsqNy[b] + vsq[b]
 				if v < 0 {
 					v = 0
 				}
-				sigma[base+b] = math.Sqrt(v)
+				s.mu[i][j], s.sigma[i][j] = mt[b], math.Sqrt(v)
 			}
-			continue
-		}
-		solver.SolveFused(g.chol, views[:m], g.alpha, mu[base:base+m], vsq[:m])
-		for b := 0; b < m; b++ {
-			v := priorVar - vsq[b]
-			if v < 0 {
-				v = 0
-			}
-			sigma[base+b] = math.Sqrt(v)
 		}
 	}
+}
+
+// operand returns columns a fused solve may consume: group k's pending
+// columns themselves for the group's last solve, a fresh copy otherwise.
+//
+//edgebol:hot
+func (sc *shardScratch) operand(k, n, cnt int, last bool) [][]float64 {
+	if last {
+		return sc.cols[k][:cnt]
+	}
+	for b, col := range sc.cols[k][:cnt] {
+		sc.spareCols[b] = sc.spare[b*n : (b+1)*n]
+		copy(sc.spareCols[b], col)
+	}
+	return sc.spareCols[:cnt]
 }
 
 // levelIndices decodes a grid index into per-dimension level indices,

@@ -89,6 +89,11 @@ func allIndices(p *SweepPlan) []int32 {
 	return idxs
 }
 
+// sweepOne runs SweepSubset over one plan with no screen.
+func sweepOne(p *SweepPlan, ctx []float64, idxs []int32, mu, sigma []float64, workers int) {
+	SweepSubset([]*SweepPlan{p}, ctx, idxs, nil, [][]float64{mu}, [][]float64{sigma}, workers)
+}
+
 // requireSweepMatches asserts that the plan's full-grid sweep reproduces
 // Posterior bitwise under every worker count.
 func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, levels [][]float64) {
@@ -102,7 +107,7 @@ func requireSweepMatches(t *testing.T, g *GP, p *SweepPlan, ctx []float64, level
 	for _, workers := range []int{1, 0, 2, 3, 8} {
 		mu := make([]float64, len(feats))
 		sigma := make([]float64, len(feats))
-		p.SweepSubset(ctx, idxs, mu, sigma, workers)
+		sweepOne(p, ctx, idxs, mu, sigma, workers)
 		for i := range feats {
 			if !bitsEqual(mu[i], refMu[i]) || !bitsEqual(sigma[i], refSigma[i]) {
 				t.Fatalf("workers=%d grid point %d: plan (%x, %x), Posterior (%x, %x)",
@@ -238,7 +243,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
 	addSweepObs(t, g, 2, rng)
-	p.SweepSubset(ctx, idxs, mu, sigma, 1)
+	sweepOne(p, ctx, idxs, mu, sigma, 1)
 	if got := refreshes.Value(); got != 1 {
 		t.Fatalf("refreshes %d after append, want 1", got)
 	}
@@ -250,7 +255,7 @@ func TestSweepPlanTelemetry(t *testing.T) {
 	if g.Evictions() == 0 {
 		t.Fatal("expected an eviction")
 	}
-	p.SweepSubset(ctx, idxs, mu, sigma, 1)
+	sweepOne(p, ctx, idxs, mu, sigma, 1)
 	if got := builds.Value(); got != 1 {
 		t.Fatalf("builds %d after eviction (construction-time build is uninstrumented), want 1", got)
 	}

@@ -38,11 +38,14 @@ type PeriodRecord struct {
 	FromSeed    bool
 	LCB         float64
 	// AcqMode is the resolved acquisition engine ("exhaustive" or
-	// "adaptive"); CandidatesEvaluated counts grid points whose posterior
-	// was computed this period, and RefineRounds the multigrid refinement
-	// rounds of the adaptive engine (0 when exhaustive).
+	// "adaptive"); CandidatesEvaluated counts grid points scored this
+	// period, VarianceSolves those of them that also got a posterior σ
+	// (fewer once the screen of full coverage drops candidates whose means
+	// already fail the safe-set test), and RefineRounds the multigrid
+	// refinement rounds of the adaptive engine (0 when exhaustive).
 	AcqMode             string
 	CandidatesEvaluated int
+	VarianceSolves      int
 	RefineRounds        int
 
 	// Posterior beliefs at the chosen control, normalized GP units,

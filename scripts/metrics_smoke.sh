@@ -42,7 +42,9 @@ status=0
 for name in \
     edgebol_core_periods_total \
     edgebol_core_sweep_seconds \
+    edgebol_acq_variance_solves_total \
     edgebol_gp_observations_total \
+    edgebol_gp_sweep_columns_total \
     edgebol_oran_requests_total \
     edgebol_oran_periods_total \
     edgebol_testbed_delay_seconds \
