@@ -32,10 +32,13 @@ lint-baseline:
 		-write-baseline .lint-baseline.json ./...
 
 # vet also type-checks the arm64 build, so the non-amd64 fallbacks
-# (panel_noasm.go) and every test file compile off amd64.
+# (panel_noasm.go) and every test file compile off amd64, and checks with
+# scripts/nofma.sh that no function on the sweep ≡ Posterior contract path
+# compiles to a fused multiply-add on arm64.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	sh scripts/nofma.sh
 
 fmt:
 	gofmt -w .

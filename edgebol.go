@@ -230,9 +230,10 @@ type (
 // Options passed to LoadCheckpoint. Test with errors.Is.
 var ErrCheckpointMismatch = core.ErrCheckpointMismatch
 
-// SaveCheckpoint serializes the agent's full learned state — every GP's
-// training rows and factorization, the safe set, and the period counter —
-// into the versioned, CRC-protected snapshot format (see DESIGN.md §11).
+// SaveCheckpoint serializes the agent's full learned state — the period
+// counter, the runtime-mutable weights and constraints, and every GP's
+// training rows, targets and Cholesky factor — into the versioned,
+// CRC-protected snapshot format (see DESIGN.md §11).
 func SaveCheckpoint(a *Agent, w io.Writer) error { return a.SaveCheckpoint(w) }
 
 // LoadCheckpoint reconstructs an agent from a snapshot written by

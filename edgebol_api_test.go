@@ -6,8 +6,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/oran"
 )
 
 // These tests exercise the repository's public facade the way an external
@@ -111,18 +109,6 @@ func TestFacadeORANDeployment(t *testing.T) {
 	}
 	if k.BSPower <= 0 {
 		t.Fatal("no KPI over the control plane")
-	}
-	// KPI subscriptions are reachable through the deployment too.
-	ch, cancel := dep.DataPlane.Subscribe()
-	defer cancel()
-	if _, err := env.Measure(Control{Resolution: 0.8, Airtime: 1, GPUSpeed: 0.8, MCS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-ch:
-		var _ oran.KPIReport = r
-	case <-time.After(2 * time.Second):
-		t.Fatal("no KPI indication")
 	}
 }
 

@@ -714,14 +714,6 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	// safety test on its own merits.
 	fromSeed := e.mu[gpDelay][best]+a.opts.SafeBeta*e.sigma[gpDelay][best] > e.dmaxN ||
 		e.mu[gpMAP][best]-a.opts.SafeBeta*e.sigma[gpMAP][best] < e.rminN
-	// The sweep's sharding decision is driven by its work: one basis per
-	// objective — training rows for the exact engine, inducing points for
-	// the sparse one — against every candidate.
-	g := a.learned(gpDelay)
-	basis := g.Len()
-	if g.IsSparse() {
-		basis = g.InducingLen()
-	}
 	info := SelectionInfo{
 		SafeSetSize:         nSafe,
 		FromSeed:            fromSeed,
@@ -733,7 +725,6 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 		Cost:                Posterior{Mean: e.mu[gpCost][best], Sigma: e.sigma[gpCost][best]},
 		Delay:               Posterior{Mean: e.mu[gpDelay][best], Sigma: e.sigma[gpDelay][best]},
 		MAP:                 Posterior{Mean: e.mu[gpMAP][best], Sigma: e.sigma[gpMAP][best]},
-		Workers:             gp.ResolveWorkers(len(a.objs)*basis, e.n, e.workers),
 		SweepSeconds:        time.Since(start).Seconds(),
 	}
 	a.met.safeSize.Set(float64(nSafe))
@@ -745,7 +736,6 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 	if e.budgetHit {
 		a.met.acqFallback.Inc()
 	}
-	a.met.acqLatency.Observe(info.SweepSeconds)
 	if fromSeed {
 		a.met.seedFallback.Inc()
 	}

@@ -421,8 +421,11 @@ func TestAcqTelemetry(t *testing.T) {
 	if _, ok := snap.Counters["edgebol_acq_fallback_total"]; !ok {
 		t.Error("edgebol_acq_fallback_total not registered")
 	}
-	if h, ok := snap.Histograms[`edgebol_acq_select_seconds{mode="adaptive"}`]; !ok || h.Count != T {
+	if h, ok := snap.Histograms["edgebol_core_sweep_seconds"]; !ok || h.Count != T {
 		t.Errorf("adaptive latency histogram = %+v (present=%v), want count %d", h, ok, T)
+	}
+	if got := a.AcquisitionEngine(); got != "adaptive" {
+		t.Errorf("AcquisitionEngine() = %q, want adaptive", got)
 	}
 
 	exh := testOptions()
@@ -436,8 +439,11 @@ func TestAcqTelemetry(t *testing.T) {
 	if got := snap.Counters["edgebol_acq_candidates_evaluated"]; got != uint64(3*exh.Grid.Size()) {
 		t.Errorf("exhaustive candidates counter = %d, want %d", got, 3*exh.Grid.Size())
 	}
-	if h, ok := snap.Histograms[`edgebol_acq_select_seconds{mode="exhaustive"}`]; !ok || h.Count != 3 {
+	if h, ok := snap.Histograms["edgebol_core_sweep_seconds"]; !ok || h.Count != 3 {
 		t.Errorf("exhaustive latency histogram = %+v (present=%v), want count 3", h, ok)
+	}
+	if got := b.AcquisitionEngine(); got != "exhaustive" {
+		t.Errorf("AcquisitionEngine() = %q, want exhaustive", got)
 	}
 }
 

@@ -210,7 +210,7 @@ func (o *Options) applyDefaults() error {
 		// with all-edge inference (SplitLayer 0): full resolution gives the
 		// highest mAP, lower resolutions the lowest delays, and all of them
 		// burn maximum power.
-		for _, r := range levelsIn(o.Grid.MinResolution, 1, o.Grid.dimLevels(dimResolution)) {
+		for _, r := range levelsIn(o.Grid.MinResolution, o.Grid.dimLevels(dimResolution)) {
 			o.SafeSeed = append(o.SafeSeed, Control{Resolution: r, Airtime: 1, GPUSpeed: 1, MCS: 1})
 		}
 	}
@@ -433,13 +433,12 @@ type agentMetrics struct {
 	sweep        *telemetry.Histogram
 
 	// Acquisition-engine instrumentation: candidates scored, candidates
-	// that got a variance, multigrid refinement rounds, budget-exhaustion
-	// fallbacks, and the selection latency split by engine mode.
+	// that got a variance, multigrid refinement rounds and
+	// budget-exhaustion fallbacks.
 	acqCandidates *telemetry.Counter
 	acqVariance   *telemetry.Counter
 	acqRefines    *telemetry.Counter
 	acqFallback   *telemetry.Counter
-	acqLatency    *telemetry.Histogram
 
 	// Checkpoint instrumentation (SaveCheckpoint/LoadCheckpoint).
 	ckptSaves        *telemetry.Counter
@@ -480,9 +479,6 @@ type SelectionInfo struct {
 	// in normalized GP units — the per-objective mean/σ the safe set and
 	// acquisition acted on.
 	Cost, Delay, MAP Posterior
-	// Workers is the resolved degree of parallelism of the posterior
-	// sweep (Options.InferenceWorkers after defaulting).
-	Workers int
 	// SweepSeconds is the wall-clock latency of the whole acquisition:
 	// posterior sweep, safe-set construction, and control selection.
 	SweepSeconds float64
@@ -559,8 +555,6 @@ func NewAgent(opts Options) (*Agent, error) {
 		acqVariance:   opts.Telemetry.Counter("edgebol_acq_variance_solves_total"),
 		acqRefines:    opts.Telemetry.Counter("edgebol_acq_refine_rounds"),
 		acqFallback:   opts.Telemetry.Counter("edgebol_acq_fallback_total"),
-		acqLatency: opts.Telemetry.Histogram("edgebol_acq_select_seconds",
-			telemetry.LatencyBuckets(), "mode", a.AcquisitionEngine()),
 	}
 	// Locate seed controls on the grid (snapped if off-grid) by direct
 	// index arithmetic.
@@ -620,11 +614,8 @@ func (a *Agent) Constraints() Constraints { return a.opts.Constraints }
 // and selection diagnostic derived under the old thresholds is
 // invalidated.
 func (a *Agent) SetConstraints(c Constraints) error {
-	if c.MaxDelay <= 0 || math.IsNaN(c.MaxDelay) {
-		return &ErrInvalidReconfig{Field: "Constraints.MaxDelay", Value: c.MaxDelay, Reason: "must be positive"}
-	}
-	if c.MinMAP < 0 || c.MinMAP > 1 || math.IsNaN(c.MinMAP) {
-		return &ErrInvalidReconfig{Field: "Constraints.MinMAP", Value: c.MinMAP, Reason: "outside [0,1]"}
+	if e := c.invalid(); e != nil {
+		return e
 	}
 	a.opts.Constraints = c
 	a.invalidateDerived()
@@ -824,7 +815,6 @@ func (a *Agent) emitPeriod(ctx Context, x Control, k KPIs) {
 		PostSigma:           [3]float64{info.Cost.Sigma, info.Delay.Sigma, info.MAP.Sigma},
 		TrainSize:           a.learned(gpDelay).Len(),
 		Evictions:           evictions,
-		Workers:             info.Workers,
 		SweepSeconds:        info.SweepSeconds,
 	})
 }

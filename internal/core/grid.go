@@ -105,18 +105,13 @@ func (g GridSpec) Size() int {
 	return size
 }
 
-// levelsIn returns n evenly spaced values spanning [lo, hi], with both
-// endpoints exact so grid membership checks are reliable. A single-level
-// dimension collapses to its low endpoint.
-func levelsIn(lo, hi float64, n int) []float64 {
-	if n == 1 {
-		return []float64{lo}
-	}
+// levelsIn returns the n levels of a dimension spanning [lo, 1], each
+// computed by levelValueN, so they equal At's control components bitwise.
+func levelsIn(lo float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
+		out[i] = levelValueN(i, lo, n)
 	}
-	out[0], out[n-1] = lo, hi
 	return out
 }
 
@@ -137,9 +132,9 @@ func levelIndexN(v, lo float64, n int) int {
 	return k
 }
 
-// levelValueN returns level i of an n-level dimension spanning [lo, 1],
-// with arithmetic identical to levelsIn so snapped controls match the
-// entries produced by Enumerate bitwise.
+// levelValueN returns level i of an n-level dimension spanning [lo, 1].
+// Both endpoints are exact, so grid membership checks are reliable, and a
+// single-level dimension collapses to its low endpoint.
 func levelValueN(i int, lo float64, n int) float64 {
 	if n <= 1 || i == 0 {
 		return lo
@@ -220,7 +215,7 @@ func (g GridSpec) LevelValues() ([][]float64, error) {
 	}
 	out := make([][]float64, ControlDims)
 	for d := range out {
-		out[d] = levelsIn(g.dimLow(d), 1, g.dimLevels(d))
+		out[d] = levelsIn(g.dimLow(d), g.dimLevels(d))
 	}
 	return out, nil
 }
@@ -238,13 +233,4 @@ func (g GridSpec) MaxControl() Control {
 // an arbitrary control, used to project continuous baseline actions (e.g.
 // DDPG outputs) onto the discrete action space. The result is bitwise
 // equal to the corresponding Enumerate entry (the one at Index(x)).
-func (g GridSpec) Nearest(x Control) Control {
-	vals := controlDimValues(x)
-	var out [ControlDims]float64
-	for d := 0; d < ControlDims; d++ {
-		n := g.dimLevels(d)
-		lo := g.dimLow(d)
-		out[d] = levelValueN(levelIndexN(vals[d], lo, n), lo, n)
-	}
-	return controlFromDims(out)
-}
+func (g GridSpec) Nearest(x Control) Control { return g.At(g.Index(x)) }

@@ -197,7 +197,7 @@ func selectionInfoBitsEq(a, b SelectionInfo) bool {
 	return a.SafeSetSize == b.SafeSetSize && a.FromSeed == b.FromSeed && a.Adaptive == b.Adaptive &&
 		a.CandidatesEvaluated == b.CandidatesEvaluated && a.VarianceSolves == b.VarianceSolves &&
 		a.RefineRounds == b.RefineRounds && f64bitsEq(a.LCB, b.LCB) &&
-		post(a.Cost, b.Cost) && post(a.Delay, b.Delay) && post(a.MAP, b.MAP) && a.Workers == b.Workers
+		post(a.Cost, b.Cost) && post(a.Delay, b.Delay) && post(a.MAP, b.MAP)
 }
 
 // TestSelectControlIgnoresUnscoredSlots pins that the selection reads no

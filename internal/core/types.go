@@ -211,13 +211,23 @@ type Constraints struct {
 	MinMAP   float64 // ρ^min in [0,1]
 }
 
-// Validate reports whether the constraints are well-formed.
+// Validate reports whether the constraints are well-formed: a positive
+// maximum delay and a minimum mAP in [0,1].
 func (c Constraints) Validate() error {
+	if e := c.invalid(); e != nil {
+		return fmt.Errorf("core: constraints %+v: %s %s", c, e.Field, e.Reason)
+	}
+	return nil
+}
+
+// invalid returns the first field Validate rejects, in the form
+// SetConstraints reports it, or nil.
+func (c Constraints) invalid() *ErrInvalidReconfig {
 	if c.MaxDelay <= 0 || math.IsNaN(c.MaxDelay) {
-		return fmt.Errorf("core: max delay %v must be positive", c.MaxDelay)
+		return &ErrInvalidReconfig{Field: "Constraints.MaxDelay", Value: c.MaxDelay, Reason: "must be positive"}
 	}
 	if c.MinMAP < 0 || c.MinMAP > 1 || math.IsNaN(c.MinMAP) {
-		return fmt.Errorf("core: min mAP %v outside [0,1]", c.MinMAP)
+		return &ErrInvalidReconfig{Field: "Constraints.MinMAP", Value: c.MinMAP, Reason: "outside [0,1]"}
 	}
 	return nil
 }

@@ -134,7 +134,7 @@ func BenchmarkGridSweepWorkers(b *testing.B) {
 			benchSweep(b, g, workers)
 		})
 	}
-	// workers=auto guards the ResolveWorkers policy: auto must never lose
+	// workers=auto guards the resolveWorkers policy: auto must never lose
 	// meaningfully to the best explicit count on the same machine.
 	b.Run("workers=auto", func(b *testing.B) {
 		benchSweep(b, g, 0)

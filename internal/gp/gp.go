@@ -352,14 +352,14 @@ const sweepTile = linalg.PanelWidth
 // fans out to every core.
 const autoWorkPairs = 1 << 17
 
-// ResolveWorkers maps a requested worker count to the effective degree of
+// resolveWorkers maps a requested worker count to the effective degree of
 // parallelism of a sweep of `candidates` posteriors against `trainLen`
 // observations. Explicit requests (> 0) are honored; requested <= 0 scales
 // the count with the total work n×m — tiny sweeps run serially instead of
 // paying fan-out for sub-millisecond work, large ones use every core.
 // Either way the count is capped by the number of tile-aligned shards.
 // The resolution affects scheduling only, never results.
-func ResolveWorkers(trainLen, candidates, requested int) int {
+func resolveWorkers(trainLen, candidates, requested int) int {
 	if requested <= 0 {
 		w := int(int64(trainLen) * int64(candidates) / autoWorkPairs)
 		if w < 1 {

@@ -65,16 +65,9 @@ type SweepPlan struct {
 	// prefixes over the context dimensions, one entry per training row.
 	c0, c1 []float64
 
-	met planMetrics
-}
-
-// planMetrics holds the plan's pre-registered telemetry handles; the zero
-// value (all nil) is the disabled state.
-type planMetrics struct {
-	builds    *telemetry.Counter
-	refreshes *telemetry.Counter
-	columns   *telemetry.Counter
-	rows      *telemetry.Gauge
+	// columns counts the kernel columns built from the plan's tables;
+	// nil (uninstrumented) is a no-op.
+	columns *telemetry.Counter
 }
 
 // NewSweepPlan builds a sweep plan for g over the grid whose control
@@ -124,23 +117,15 @@ func NewSweepPlan(g *GP, ctxDims int, levels [][]float64) (*SweepPlan, error) {
 	p.basisGen = g.basisGen()
 	p.appendRows(0, g.basisLen())
 	p.rows = g.basisLen()
-	p.met.builds.Inc()
 	return p, nil
 }
 
 // Instrument registers the plan's telemetry series on reg, labeled with
-// the objective name: table build/refresh counters, the cached-row gauge
-// and the count of kernel columns built from the plan's tables while it
-// leads a column group (see SweepSubset). A nil registry leaves telemetry
-// disabled at zero cost.
+// the objective name: the count of kernel columns built from the plan's
+// tables while it leads a column group (see SweepSubset). A nil registry
+// leaves telemetry disabled at zero cost.
 func (p *SweepPlan) Instrument(reg *telemetry.Registry, objective string) {
-	p.met = planMetrics{
-		builds:    reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", objective),
-		refreshes: reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", objective),
-		columns:   reg.Counter("edgebol_gp_sweep_columns_total", "gp", objective),
-		rows:      reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", objective),
-	}
-	p.met.rows.Set(float64(p.rows))
+	p.columns = reg.Counter("edgebol_gp_sweep_columns_total", "gp", objective)
 }
 
 // GridSize returns the grid cardinality the plan sweeps.
@@ -181,13 +166,10 @@ func (p *SweepPlan) sync() {
 		}
 		p.appendRows(0, n)
 		p.basisGen = p.g.basisGen()
-		p.met.builds.Inc()
 	case n > p.rows:
 		p.appendRows(p.rows, n)
-		p.met.refreshes.Inc()
 	}
 	p.rows = n
-	p.met.rows.Set(float64(n))
 }
 
 // contextPartials computes the per-period context partials: the even/odd
@@ -266,7 +248,7 @@ type Screen struct {
 // workers is the degree of parallelism: the list is split into contiguous
 // tile-aligned shards, one goroutine each with its own scratch; workers <=
 // 0 scales the count with the work, len(plans) basis rows per candidate
-// (see ResolveWorkers), and 1 runs serially on the calling goroutine. The
+// (see resolveWorkers), and 1 runs serially on the calling goroutine. The
 // call's duration is observed once, on the first plan's GP's
 // edgebol_gp_sweep_seconds series.
 func SweepSubset(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen, mu, sigma [][]float64, workers int) int {
@@ -295,7 +277,7 @@ func SweepSubset(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen
 	s := newSweep(plans, ctx, idxs, screen, mu, sigma)
 	m := len(idxs)
 	kept := 0
-	workers = ResolveWorkers(len(plans)*p0.g.basisLen(), m, workers)
+	workers = resolveWorkers(len(plans)*p0.g.basisLen(), m, workers)
 	if workers <= 1 {
 		kept = s.shard(0, m)
 	} else {
@@ -320,7 +302,7 @@ func SweepSubset(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen
 		if gr.screened {
 			built = m
 		}
-		gr.lead.met.columns.Add(uint64(built))
+		gr.lead.columns.Add(uint64(built))
 	}
 	return kept
 }
@@ -625,14 +607,6 @@ func fillSqDist(col, c0, c1 []float64, rowsE, rowsO [][]float64) {
 		e0, e1, o0, o1, o2 := rowsE[0], rowsE[1], rowsO[0], rowsO[1], rowsO[2]
 		for i := range col {
 			col[i] = ((c0[i] + e0[i]) + e1[i]) + (((c1[i] + o0[i]) + o1[i]) + o2[i])
-		}
-		return
-	}
-	if len(rowsE) == 2 && len(rowsO) == 2 {
-		// 3 context + 4 control dimensions: two control terms per chain.
-		e0, e1, o0, o1 := rowsE[0], rowsE[1], rowsO[0], rowsO[1]
-		for i := range col {
-			col[i] = ((c0[i] + e0[i]) + e1[i]) + ((c1[i] + o0[i]) + o1[i])
 		}
 		return
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 // sweepLevels builds deterministic level values for a control grid with
@@ -218,67 +216,24 @@ func TestNewSweepPlanErrors(t *testing.T) {
 	}
 }
 
-// TestSweepPlanTelemetry checks the build/refresh counters and row gauge
-// across the plan lifecycle: construction, append, eviction rebuild.
-func TestSweepPlanTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	const window = 16
-	g := sweepTestGP(t, Matern32, 1, 2, 10, window, 3)
-	levels := sweepLevels([]int{3, 3})
-	p, err := NewSweepPlan(g, 1, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Instrument(reg, "cost")
-	builds := reg.Counter("edgebol_gp_sweep_plan_builds_total", "gp", "cost")
-	refreshes := reg.Counter("edgebol_gp_sweep_plan_refreshes_total", "gp", "cost")
-	rows := reg.Gauge("edgebol_gp_sweep_plan_rows", "gp", "cost")
-	if rows.Value() != 10 { //edgebol:allow floateq -- gauge stores the exact integer
-		t.Fatalf("row gauge %v after construction, want 10", rows.Value())
-	}
-	ctx := []float64{0.5}
-	idxs := allIndices(p)
-	mu := make([]float64, p.GridSize())
-	sigma := make([]float64, p.GridSize())
-	rng := rand.New(rand.NewSource(5))
-
-	addSweepObs(t, g, 2, rng)
-	sweepOne(p, ctx, idxs, mu, sigma, 1)
-	if got := refreshes.Value(); got != 1 {
-		t.Fatalf("refreshes %d after append, want 1", got)
-	}
-	if rows.Value() != 12 { //edgebol:allow floateq -- gauge stores the exact integer
-		t.Fatalf("row gauge %v after append, want 12", rows.Value())
-	}
-
-	addSweepObs(t, g, window, rng) // crosses the bound: eviction
-	if g.Evictions() == 0 {
-		t.Fatal("expected an eviction")
-	}
-	sweepOne(p, ctx, idxs, mu, sigma, 1)
-	if got := builds.Value(); got != 1 {
-		t.Fatalf("builds %d after eviction (construction-time build is uninstrumented), want 1", got)
-	}
-}
-
 // TestResolveWorkers pins the auto-scaling policy: explicit counts are
 // honored up to the shard cap, tiny sweeps stay serial, and large sweeps
 // never exceed GOMAXPROCS.
 func TestResolveWorkers(t *testing.T) {
-	if got := ResolveWorkers(30, 100, 0); got != 1 {
+	if got := resolveWorkers(30, 100, 0); got != 1 {
 		t.Fatalf("tiny sweep resolved to %d workers, want 1", got)
 	}
-	if got := ResolveWorkers(1000, 14641, 4); got != 4 {
+	if got := resolveWorkers(1000, 14641, 4); got != 4 {
 		t.Fatalf("explicit request resolved to %d workers, want 4", got)
 	}
-	if got := ResolveWorkers(1000, 40, 64); got != 2 {
+	if got := resolveWorkers(1000, 40, 64); got != 2 {
 		t.Fatalf("shard cap resolved to %d workers, want 2", got)
 	}
-	if got := ResolveWorkers(0, 14641, 0); got != 1 {
+	if got := resolveWorkers(0, 14641, 0); got != 1 {
 		t.Fatalf("empty training set resolved to %d workers, want 1", got)
 	}
-	big := ResolveWorkers(100000, 100000, 0)
-	if max := ResolveWorkers(100000, 100000, 1<<20); big > max {
+	big := resolveWorkers(100000, 100000, 0)
+	if max := resolveWorkers(100000, 100000, 1<<20); big > max {
 		t.Fatalf("auto workers %d exceeded explicit cap %d", big, max)
 	}
 }

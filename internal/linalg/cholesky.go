@@ -115,14 +115,8 @@ func (c *Cholesky) Append(b []float64, d float64) error {
 	}
 	// Solve L·w = b for w: the new row of the factor.
 	w := make([]float64, c.n+1)
-	for i := 0; i < c.n; i++ {
-		ri := c.rowStart(i)
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= c.l[ri+k] * w[k]
-		}
-		w[i] = sum / c.l[ri+i]
-	}
+	copy(w, b)
+	c.ForwardSolve(w[:c.n])
 	pivot := d + c.jitter - Dot(w[:c.n], w[:c.n])
 	jitter := c.jitter
 	for pivot <= 0 || math.IsNaN(pivot) {
@@ -181,7 +175,10 @@ const solveBlock = 4
 // Per right-hand side the arithmetic (accumulation order, one reciprocal
 // multiply per row) is identical in the blocked and remainder paths, so
 // results are bitwise independent of how callers split a candidate set
-// into batches or shard it across goroutines.
+// into batches or shard it across goroutines. Each product is rounded
+// before it is added: the explicit float64 conversion forbids the
+// compiler to fuse a multiply-add, which arm64 could otherwise do in one
+// path and not the other.
 func (c *Cholesky) ForwardSolveBatch(ys [][]float64) {
 	for _, y := range ys {
 		if len(y) != c.n {
@@ -210,10 +207,10 @@ func (c *Cholesky) forwardSolve4(y0, y1, y2, y3 []float64) {
 		inv := 1 / c.l[ri+i]
 		var s0, s1, s2, s3 float64
 		for k, lv := range lrow {
-			s0 += lv * y0[k]
-			s1 += lv * y1[k]
-			s2 += lv * y2[k]
-			s3 += lv * y3[k]
+			s0 += float64(lv * y0[k])
+			s1 += float64(lv * y1[k])
+			s2 += float64(lv * y2[k])
+			s3 += float64(lv * y3[k])
 		}
 		y0[i] = (y0[i] - s0) * inv
 		y1[i] = (y1[i] - s1) * inv
@@ -233,7 +230,7 @@ func (c *Cholesky) forwardSolve1(y []float64) {
 		inv := 1 / c.l[ri+i]
 		var s float64
 		for k, lv := range lrow {
-			s += lv * y[k]
+			s += float64(lv * y[k])
 		}
 		y[i] = (y[i] - s) * inv
 	}

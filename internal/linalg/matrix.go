@@ -144,14 +144,16 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// Dot returns the inner product of two equal-length vectors.
+// Dot returns the inner product of two equal-length vectors, rounding
+// each product before it is added (no fused multiply-add), like the
+// forward solves' sums.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }

@@ -94,7 +94,7 @@ func (s *FusedSolver) solveTile(c *Cholesky, cols [][]float64, alpha, mu, vsq []
 		var m float64
 		for i, v := range y {
 			panel[i*PanelWidth+j] = v
-			m += v * alpha[i]
+			m += float64(v * alpha[i])
 		}
 		mu[j] = m
 	}
@@ -103,7 +103,7 @@ func (s *FusedSolver) solveTile(c *Cholesky, cols [][]float64, alpha, mu, vsq []
 	for i := 0; i < n; i++ {
 		row := panel[i*PanelWidth : i*PanelWidth+PanelWidth : i*PanelWidth+PanelWidth]
 		for j, v := range row {
-			acc[j] += v * v
+			acc[j] += float64(v * v)
 		}
 	}
 	copy(vsq[:PanelWidth], acc[:])

@@ -29,7 +29,6 @@ type DataPlane struct {
 	lastKPI core.KPIs
 	hasKPI  bool
 
-	subs    subscriptions
 	periods *telemetry.Counter
 }
 
@@ -46,11 +45,9 @@ func NewDataPlane(env core.Environment) (*DataPlane, error) {
 	}, nil
 }
 
-// Instrument publishes data-plane activity into reg:
-// edgebol_oran_periods_total for completed control periods,
-// edgebol_oran_indications_published_total /
-// edgebol_oran_indications_dropped_total for the KPI REPORT fan-out.
-// Call it before the deployment serves traffic; nil disables.
+// Instrument counts completed control periods in reg as
+// edgebol_oran_periods_total. Call it before the deployment serves
+// traffic; nil disables.
 func (d *DataPlane) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -58,7 +55,6 @@ func (d *DataPlane) Instrument(reg *telemetry.Registry) {
 	d.mu.Lock()
 	d.periods = reg.Counter("edgebol_oran_periods_total")
 	d.mu.Unlock()
-	d.subs.instrument(reg)
 }
 
 // SetRadio stages an E2 radio policy.
@@ -118,9 +114,7 @@ func (d *DataPlane) RunPeriod() (PeriodReport, error) {
 	d.lastKPI = k
 	d.hasKPI = true
 	d.periods.Inc()
-	report := KPIReport{BSPowerW: k.BSPower, Period: d.period}
 	d.mu.Unlock()
-	d.subs.publish(report)
 	return PeriodReport{
 		DelaySeconds: k.Delay,
 		GPUDelay:     k.GPUDelay,
@@ -143,73 +137,4 @@ func (d *DataPlane) KPI() (KPIReport, error) {
 func (d *DataPlane) ContextReport() ContextReport {
 	ctx := d.env.Context()
 	return ContextReport{NumUsers: ctx.NumUsers, MeanCQI: ctx.MeanCQI, VarCQI: ctx.VarCQI}
-}
-
-// subscriptions is the publish side of the KPI REPORT service, embedded in
-// the DataPlane: every completed period is pushed to all subscribers.
-type subscriptions struct {
-	mu   sync.Mutex
-	next int
-	subs map[int]chan KPIReport
-
-	published *telemetry.Counter
-	dropped   *telemetry.Counter
-}
-
-// instrument counts published and dropped indications; nil handles are
-// no-ops, so an uninstrumented publish path is unchanged.
-func (s *subscriptions) instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.published = reg.Counter("edgebol_oran_indications_published_total")
-	s.dropped = reg.Counter("edgebol_oran_indications_dropped_total")
-}
-
-// subscribe registers a subscriber with a small buffer.
-func (s *subscriptions) subscribe() (int, <-chan KPIReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.subs == nil {
-		s.subs = make(map[int]chan KPIReport)
-	}
-	id := s.next
-	s.next++
-	ch := make(chan KPIReport, 16)
-	s.subs[id] = ch
-	return id, ch
-}
-
-// unsubscribe removes a subscriber.
-func (s *subscriptions) unsubscribe(id int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ch, ok := s.subs[id]; ok {
-		delete(s.subs, id)
-		close(ch)
-	}
-}
-
-// publish fans a report out without blocking: a stalled subscriber drops
-// indications rather than stalling the data plane.
-func (s *subscriptions) publish(r KPIReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ch := range s.subs {
-		select {
-		case ch <- r:
-			s.published.Inc()
-		default:
-			// A stalled subscriber loses indications instead of stalling
-			// the data plane; the drop counter makes that visible.
-			s.dropped.Inc()
-		}
-	}
-}
-
-// Subscribe registers an in-process KPI subscriber on the data plane.
-// Every RunPeriod publishes one report. Close the subscription with the
-// returned cancel function.
-func (d *DataPlane) Subscribe() (<-chan KPIReport, func()) {
-	id, ch := d.subs.subscribe()
-	return ch, func() { d.subs.unsubscribe(id) }
 }

@@ -116,7 +116,6 @@ func (c *ServiceController) handle(req Message) (Message, error) {
 type NearRTRIC struct {
 	server *Server
 	e2     *Client
-	store  policyStore
 }
 
 // NewNearRTRIC starts the near-RT RIC on addr, connected to the E2 node;
@@ -156,9 +155,6 @@ func (r *NearRTRIC) Close() error {
 }
 
 func (r *NearRTRIC) handle(req Message) (Message, error) {
-	if handled, resp, err := r.handlePolicyLifecycle(req); handled {
-		return resp, err
-	}
 	switch req.Type {
 	case TypeA1PolicySetup:
 		// Policy xApp: translate the A1 policy into an E2 enforcement.
@@ -173,7 +169,6 @@ func (r *NearRTRIC) handle(req Message) (Message, error) {
 		if _, err := r.e2.Call(context.Background(), fwd); err != nil {
 			return Message{}, err
 		}
-		r.store.put(p)
 		return NewMessage(TypeAck, Ack{OK: true})
 	case TypeO1Collect:
 		// Database xApp: pull the vBS KPI over E2 and forward it.

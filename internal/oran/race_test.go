@@ -32,14 +32,13 @@ func (e *raceEnv) Measure(x core.Control) (core.KPIs, error) {
 	return core.KPIs{Delay: 0.2, GPUDelay: 0.1, MAP: 0.6, ServerPower: 80, BSPower: 30}, nil
 }
 
-// TestRaceConcurrentPublishSubscribeShutdown is the -race regression for
-// the O-RAN concurrency surface: concurrent control periods (publishers),
-// in-process KPI subscribers joining and leaving, policy mutators, TCP
-// callers driving periods through a service controller, and finally a
-// server shutdown racing in-flight calls. It has no assertions beyond
-// completing without deadlock — its job is to give the race detector
-// interleavings to chew on.
-func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
+// TestRaceConcurrentPeriodsAndShutdown is the -race regression for the
+// O-RAN concurrency surface: concurrent control periods and KPI pulls,
+// policy mutators, TCP callers driving periods through a service
+// controller, and finally a server shutdown racing in-flight calls. It has
+// no assertions beyond completing without deadlock — its job is to give
+// the race detector interleavings to chew on.
+func TestRaceConcurrentPeriodsAndShutdown(t *testing.T) {
 	dp, err := NewDataPlane(&raceEnv{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,22 +54,26 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 	period := Message{Type: TypeServicePeriod}
 
 	const (
-		publishers = 4
-		periods    = 25
-		callers    = 3
-		localSubs  = 3
-		mutators   = 2
+		runners  = 4
+		periods  = 25
+		callers  = 3
+		mutators = 2
 	)
 	var wg sync.WaitGroup
 
-	// Publishers: concurrent control periods fanning KPI reports out.
-	for p := 0; p < publishers; p++ {
+	// Runners: concurrent control periods, each followed by the E2 pull
+	// of the vBS reading it kept.
+	for p := 0; p < runners; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < periods; i++ {
 				if _, err := dp.RunPeriod(); err != nil {
 					t.Errorf("RunPeriod: %v", err)
+					return
+				}
+				if _, err := dp.KPI(); err != nil {
+					t.Errorf("KPI: %v", err)
 					return
 				}
 			}
@@ -94,26 +97,6 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 				}
 			}
 		}(m)
-	}
-
-	// In-process subscribers: join, drain a few reports, leave.
-	for s := 0; s < localSubs; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ch, cancel := dp.Subscribe()
-			defer cancel()
-			for i := 0; i < 5; i++ {
-				select {
-				case _, ok := <-ch:
-					if !ok {
-						return
-					}
-				case <-time.After(2 * time.Second):
-					return
-				}
-			}
-		}()
 	}
 
 	// TCP callers: configure and run periods over the custom interface.
@@ -140,7 +123,7 @@ func TestRaceConcurrentPublishSubscribeShutdown(t *testing.T) {
 
 	wg.Wait()
 
-	// Shutdown racing one last burst of publishes and callers with
+	// Shutdown racing one last burst of periods and callers with
 	// requests in flight: each caller answers ready after its first
 	// period, then keeps calling until the closed server refuses it.
 	var tail, ready sync.WaitGroup

@@ -59,9 +59,8 @@ type PeriodRecord struct {
 	// the agent's GPs.
 	Evictions uint64
 
-	// Sweep execution: resolved worker count and wall-clock latency of
-	// the posterior sweep + safe set + acquisition.
-	Workers      int
+	// SweepSeconds is the wall-clock latency of the posterior sweep +
+	// safe set + acquisition.
 	SweepSeconds float64
 }
 
