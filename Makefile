@@ -65,8 +65,12 @@ sparse-equiv:
 
 # acq-equiv runs the acquisition equivalence suite: bitwise
 # SweepSubset-vs-Posterior agreement (shared kernel columns and the
-# mean-only screen included), SelectControl against a brute-force scan of
-# the selection rule written in test code (uniform, split-carrying and
+# mean-only screen included), the AVX2 covariance kernel and (2, 3) fill
+# against their scalar loops for every family, tail length and offset,
+# the init probe's power to tell math.Exp's FMA and non-FMA sequences
+# apart, a rerun under GODEBUG=cpu.fma=off and cpu.avx=off that must fall
+# back to the scalar loop, SelectControl against a brute-force
+# scan of the selection rule written in test code (uniform, split-carrying and
 # non-uniform grids, serial and sharded sweeps), a twin whose unscored
 # slots hold garbage selecting exactly what its clean twin selects,
 # bounded regret within the evaluation budget on grids above the auto
@@ -74,7 +78,7 @@ sparse-equiv:
 # the adaptive checkpoint round-trip. It runs through scripts/test_gate.sh
 # like sparse-equiv.
 acq-equiv:
-	sh scripts/test_gate.sh ./internal/gp 'TestSweepSubset'
+	sh scripts/test_gate.sh ./internal/gp 'TestSweepSubset|TestCovVectorMatchesScalar|TestFillSqDistVectorMatchesScalar|TestCovProbeDiscriminatesExp|TestCovProbeRejectsNonFMAExp'
 	sh scripts/test_gate.sh ./internal/core 'TestSelectControlMatchesBruteForce|TestSelectControlIgnoresUnscoredSlots|TestGridNonUniform|TestAcqAdaptive|TestAcqAuto|TestAcqCheckpoint'
 
 # metrics-smoke boots the O-RAN deployment with -metrics, curls /metrics,

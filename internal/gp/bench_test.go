@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// benchDims matches the agent's joint feature space (3 context + 4 control).
-const benchDims = 7
+// benchDims matches the agent's joint feature space: 3 context + 5
+// control dimensions, the layout of fillSqDist's (2, 3) branch.
+const benchDims = 8
 
 // benchGridSize matches the paper's 11⁴-point control grid.
 const benchGridSize = 14641
@@ -17,7 +18,7 @@ const benchGridSize = 14641
 func benchGP(b *testing.B, t int) *GP {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
-	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2}
+	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2, 1.0}
 	g := New(mustKernel(Matern32, ls), 1e-3, 0)
 	for i := 0; i < t; i++ {
 		x := make([]float64, benchDims)
@@ -36,7 +37,7 @@ func benchGP(b *testing.B, t int) *GP {
 func benchSparseGP(b *testing.B, t, m int) *GP {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
-	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2}
+	ls := []float64{0.6, 0.6, 0.6, 1.0, 1.0, 1.2, 1.2, 1.0}
 	g, err := NewSparse(mustKernel(Matern32, ls), 1e-3, SparseConfig{MaxInducing: m})
 	if err != nil {
 		b.Fatal(err)
@@ -59,17 +60,19 @@ func benchSparseGP(b *testing.B, t, m int) *GP {
 // variants skip with a logged reason instead of burning CI time.
 const benchExactCap = 1000
 
-// benchLevels is the paper's 11-level control grid as per-dimension level
-// values: 4 control dimensions × 11 levels = the 14 641-point sweep.
+// benchLevels is the paper's control grid as per-dimension level values:
+// 4 control dimensions × 11 levels and the split dimension's single level
+// 0, the 14 641-point sweep.
 func benchLevels() [][]float64 {
-	out := make([][]float64, 4)
-	for d := range out {
+	out := make([][]float64, 5)
+	for d := range out[:4] {
 		lv := make([]float64, 11)
 		for i := range lv {
 			lv[i] = float64(i) / 10
 		}
 		out[d] = lv
 	}
+	out[4] = []float64{0}
 	return out
 }
 

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // Family selects the covariance κ(d²) a Kernel applies to the anisotropic
@@ -59,10 +61,26 @@ func (f Family) String() string {
 // cov maps squared scaled distances to covariances in place. It is the one
 // definition of each family's κ(d²): Kernel.EvalBatch and the sweep plan
 // both apply it, so the single-point and the grid paths share the formula
-// by construction.
+// by construction. Where covVector is set the AVX2 body sets whole 4-lane
+// blocks, each lane bitwise equal to covScalar; covScalar takes the tail
+// and any block the vector body stopped at.
 //
 //edgebol:hot
 func (f Family) cov(d2s []float64) {
+	for covVector && len(d2s) >= 4 {
+		d2s = d2s[covAVX2(f, d2s):]
+		m := min(len(d2s), 4)
+		f.covScalar(d2s[:m])
+		d2s = d2s[m:]
+	}
+	f.covScalar(d2s)
+}
+
+// covScalar is the scalar loop, the definition every vector lane
+// reproduces: the family's own steps in this order around math.Exp.
+//
+//edgebol:hot
+func (f Family) covScalar(d2s []float64) {
 	switch f {
 	case Matern32:
 		for i, d2 := range d2s {
@@ -82,6 +100,48 @@ func (f Family) cov(d2s []float64) {
 			d2s[i] = math.Exp(-0.5 * d2)
 		}
 	}
+}
+
+// covVector reports whether Family.cov and fillSqDist's (2, 3) branch run
+// their AVX2 bodies (cov_amd64.s), set once at init: the CPU and the OS
+// must support AVX2 and FMA (linalg.DetectCPU), and the bodies must
+// reproduce the scalar loop bitwise on the probe column. They copy
+// math.Exp's FMA sequence, and math.Exp itself runs another one when
+// GODEBUG sets cpu.fma=off or cpu.avx=off, or when the toolchain's
+// sequence has changed: the probe catches each of these. Tests toggle it
+// to pin both paths against the scalar loop.
+var covVector = covVectorSupported(linalg.DetectCPU()) && covProbeMatches()
+
+// covVectorSupported reports whether cpu offers the vector bodies'
+// instructions.
+func covVectorSupported(cpu linalg.CPUFeatures) bool {
+	return cpu.AVX2 && cpu.FMA
+}
+
+// covProbe returns the fixed probe column, the squared distances 0, 1/8,
+// …, 255/8: whole blocks only, with exp arguments down to −9.8
+// (Matérn-3/2), −12.6 (Matérn-5/2) and −15.9 (RBF), and for each family
+// dozens on which math.Exp's FMA and non-FMA sequences round differently
+// (TestCovProbeDiscriminatesExp).
+func covProbe() []float64 {
+	d2s := make([]float64, 256)
+	for i := range d2s {
+		d2s[i] = float64(i) / 8
+	}
+	return d2s
+}
+
+// covProbeMatches reports whether the vector body sets every element of
+// the probe column, for every family, bitwise equal to covScalar.
+func covProbeMatches() bool {
+	for _, f := range []Family{Matern32, Matern52, RBF} {
+		want, got := covProbe(), covProbe()
+		f.covScalar(want)
+		if covAVX2(f, got) != len(got) || !sameBits(got, want) {
+			return false
+		}
+	}
+	return true
 }
 
 // Kernel is an anisotropic stationary covariance k(z, z') = κ(d(z,z')²)

@@ -154,20 +154,30 @@ func TestKernelStationarity(t *testing.T) {
 	}
 }
 
-// TestKernelClosedForm pins each family's κ against its closed form at
-// the scaled distance d = |a−b|/l = 1.5. EvalBatch and the sweep plan
-// share Family.cov, so this is the test that checks the formula itself.
+// TestKernelClosedForm pins each family's κ against its closed form on a
+// 21-row EvalBatch column, scaled distances d = 0, 0.15, …, 3: five whole
+// 4-lane blocks and a tail, so the vector body, where init chose it, and
+// the scalar loop are both checked against the formula itself. EvalBatch
+// and the sweep plan share Family.cov.
 func TestKernelClosedForm(t *testing.T) {
-	a, b := []float64{0}, []float64{3}
-	const d = 1.5 // |a−b| / l with l = 2
-	want := map[Family]float64{
-		Matern32: (1 + math.Sqrt(3)*d) * math.Exp(-math.Sqrt(3)*d),
-		Matern52: (1 + math.Sqrt(5)*d + 5*d*d/3) * math.Exp(-math.Sqrt(5)*d),
-		RBF:      math.Exp(-d * d / 2),
+	const l = 2.0
+	xs := make([]float64, 21) // one-dimensional rows; d_i = xs[i] / l
+	for i := range xs {
+		xs[i] = 0.3 * float64(i)
+	}
+	closed := map[Family]func(d float64) float64{
+		Matern32: func(d float64) float64 { return (1 + math.Sqrt(3)*d) * math.Exp(-math.Sqrt(3)*d) },
+		Matern52: func(d float64) float64 { return (1 + math.Sqrt(5)*d + 5*d*d/3) * math.Exp(-math.Sqrt(5)*d) },
+		RBF:      func(d float64) float64 { return math.Exp(-d * d / 2) },
 	}
 	for _, f := range families {
-		if got := eval(mustKernel(f, []float64{2}), a, b); math.Abs(got-want[f]) > 1e-12 {
-			t.Errorf("%v = %v, want %v", f, got, want[f])
+		out := make([]float64, len(xs))
+		mustKernel(f, []float64{l}).EvalBatch(xs, 1, []float64{0}, out)
+		for i, got := range out {
+			d := xs[i] / l
+			if want := closed[f](d); math.Abs(got-want) > 1e-12 {
+				t.Errorf("%v at d=%v: %v, want %v", f, d, got, want)
+			}
 		}
 	}
 }

@@ -37,8 +37,8 @@ func TestSweepSubsetMatchesSweep(t *testing.T) {
 		counts  []int
 		obs     int // observations; 0 means 37
 	}{
-		{3, []int{5, 4, 3, 4}, 0},    // EdgeBOL's 3+4 layout (2 evens / 2 odds)
-		{3, []int{3, 4, 2, 3, 5}, 0}, // 3+5 split-inference layout (2 evens / 3 odds)
+		{3, []int{5, 4, 3, 4}, 0},    // 3+4 (2 evens / 2 odds)
+		{3, []int{3, 4, 2, 3, 5}, 0}, // EdgeBOL's 3+5 layout (2 evens / 3 odds)
 		{2, []int{4, 3, 5}, 0},
 		{3, []int{5, 4, 3, 4}, 1}, // a one-row basis
 	}

@@ -603,9 +603,11 @@ func (p *SweepPlan) levelIndices(g int, li []int) {
 func fillSqDist(col, c0, c1 []float64, rowsE, rowsO [][]float64) {
 	if len(rowsE) == 2 && len(rowsO) == 3 {
 		// EdgeBOL's layout: 3 context + 5 control dimensions put two
-		// control terms on the even chain and three on the odd one.
+		// control terms on the even chain and three on the odd one. The
+		// vector body makes the same adds in the same order; this loop
+		// takes its tail.
 		e0, e1, o0, o1, o2 := rowsE[0], rowsE[1], rowsO[0], rowsO[1], rowsO[2]
-		for i := range col {
+		for i := fillVector23(col, c0, c1, e0, e1, o0, o1, o2); i < len(col); i++ {
 			col[i] = ((c0[i] + e0[i]) + e1[i]) + (((c1[i] + o0[i]) + o1[i]) + o2[i])
 		}
 		return

@@ -124,10 +124,11 @@ func TestSweepPlanMatchesGeneric(t *testing.T) {
 		ctxDims int
 		counts  []int
 	}{
-		{3, []int{5, 4, 3, 4}}, // EdgeBOL's 3+4 layout
-		{2, []int{4, 3, 5}},    // odd chain split
-		{0, []int{6, 7}},       // no context at all
-		{1, []int{9}},          // single control dimension
+		{3, []int{3, 4, 2, 3, 5}}, // EdgeBOL's 3+5 layout: fillSqDist's (2, 3) branch
+		{3, []int{5, 4, 3, 4}},    // 3+4: two terms on each chain
+		{2, []int{4, 3, 5}},       // odd chain split
+		{0, []int{6, 7}},          // no context at all
+		{1, []int{9}},             // single control dimension
 	}
 	for _, f := range families {
 		for _, shape := range shapes {

@@ -25,6 +25,29 @@ const (
 // scalar fallback and the narrower kernel against the widest one.
 var panelKernel = detectPanelKernel()
 
+// CPUFeatures lists the x86 vector extensions that the host CPU implements
+// and whose register state its OS saves: each field is true only when
+// both hold. It is the module's one CPU probe; the panel solver and gp's
+// covariance kernel both dispatch on it.
+type CPUFeatures struct {
+	AVX2    bool // AVX2, with the XMM and YMM state enabled in XCR0
+	FMA     bool // FMA3, with the XMM and YMM state enabled in XCR0
+	AVX512F bool // AVX-512F, with the opmask and ZMM state enabled as well
+}
+
+// detectPanelKernel returns the widest panel kernel the CPU and the OS
+// support. The AVX-512 kernel is taken only next to AVX2.
+func detectPanelKernel() int {
+	cpu := DetectCPU()
+	switch {
+	case cpu.AVX2 && cpu.AVX512F:
+		return panelKernelAVX512
+	case cpu.AVX2:
+		return panelKernelAVX2
+	}
+	return panelKernelNone
+}
+
 // FusedSolver runs the fused posterior-sweep kernel
 //
 //	mu[j]  = ⟨cols[j], alpha⟩

@@ -21,35 +21,36 @@ func panelSolveAVX(l []float64, n int, panel []float64)
 //go:noescape
 func panelSolveAVX512(l []float64, n int, panel []float64)
 
-// detectPanelKernel returns the widest panel kernel the CPU and the OS
-// support.
-func detectPanelKernel() int {
+// DetectCPU runs CPUID and XGETBV and reports the vector extensions that
+// both the CPU and the OS support. It reads the hardware directly, so
+// GODEBUG's cpu.* settings, which switch off the runtime's and the math
+// package's own use of an extension, do not change its answer.
+func DetectCPU() CPUFeatures {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
-		return panelKernelNone
+		return CPUFeatures{}
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
+	const fma = 1 << 12
 	const osxsave = 1 << 27
 	const avx = 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return panelKernelNone
+		return CPUFeatures{}
 	}
 	xeax, _ := xgetbv0()
 	// XCR0 bits 1 (XMM) and 2 (YMM) must both be OS-enabled.
 	if xeax&6 != 6 {
-		return panelKernelNone
+		return CPUFeatures{}
 	}
 	_, ebx7, _, _ := cpuidex(7, 0)
 	const avx2 = 1 << 5
-	if ebx7&avx2 == 0 {
-		return panelKernelNone
-	}
 	// AVX-512F additionally needs the opmask/zmm-high state (XCR0 bits 5–7).
 	const avx512f = 1 << 16
-	if ebx7&avx512f != 0 && xeax&0xe0 == 0xe0 {
-		return panelKernelAVX512
+	return CPUFeatures{
+		AVX2:    ebx7&avx2 != 0,
+		FMA:     ecx1&fma != 0,
+		AVX512F: ebx7&avx512f != 0 && xeax&0xe0 == 0xe0,
 	}
-	return panelKernelAVX2
 }
 
 func panelSolve(c *Cholesky, panel []float64) {

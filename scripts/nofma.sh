@@ -2,7 +2,12 @@
 # nofma.sh checks that the functions on the sweep plan ≡ Posterior
 # contract path compile without fused multiply-adds on arm64.
 #
-# The sweep and Posterior must produce bitwise-equal means and variances.
+# The sweep and Posterior must produce bitwise-equal means and variances
+# on the same host; this script guards that within-architecture contract.
+# Digests and checkpoint continuation are reproducible per architecture
+# and per math.Exp path, not across them: arm64's math.Exp runs another
+# algorithm than amd64's, and amd64's own FMA and non-FMA sequences round
+# differently, so the recorded tables hold for linux/amd64 with FMA.
 # arm64 has fused multiply-add instructions and the Go compiler may fuse
 # x*y + z into one of them, rounding once instead of twice; whether it
 # does depends on the surrounding code, so a blocked solve and a
@@ -14,6 +19,11 @@
 # or when a listed function is missing from the listing, so a rename
 # cannot drop out of the check silently. Go replays the -S output from its
 # build cache, so a warm run takes seconds.
+#
+# The amd64 assembly (internal/gp/cov_amd64.s) uses FMA only inside its
+# copy of math.Exp's amd64 FMA sequence, which fuses exactly where
+# math.Exp does; off amd64, and wherever the init probe finds math.Exp on
+# another sequence, the scalar Go loops listed here run instead.
 #
 # Usage: sh scripts/nofma.sh
 set -eu
@@ -31,6 +41,7 @@ gp.scaledSqDistInv
 gp.(*SweepPlan).contextPartials
 gp.fillSqDist
 gp.Family.cov
+gp.Family.covScalar
 gp.(*Kernel).EvalBatch
 gp.(*GP).Posterior
 gp.(*sweep).shard
