@@ -64,12 +64,13 @@ sparse-equiv:
 	sh scripts/test_gate.sh ./internal/experiment 'TestLongHorizon'
 
 # acq-equiv runs the acquisition equivalence suite: bitwise
-# SweepSubset-vs-Posterior agreement (shared kernel columns and the
-# mean-only screen included), the AVX2 covariance kernel and (2, 3) fill
-# against their scalar loops for every family, tail length and offset,
-# the init probe's power to tell math.Exp's FMA and non-FMA sequences
-# apart, a rerun under GODEBUG=cpu.fma=off and cpu.avx=off that must fall
-# back to the scalar loop, SelectControl against a brute-force
+# SweepSubset-vs-Posterior agreement (shared kernel columns, the sparse
+# group's one K_mm solve with the factor compare that admits a plan to
+# it, and the mean-only screen included), the AVX2 covariance kernel and
+# (2, 3) fill against their scalar loops for every family, tail length
+# and offset, the init probe's power to tell math.Exp's FMA and non-FMA
+# sequences apart, a rerun under GODEBUG=cpu.fma=off and cpu.avx=off that
+# must fall back to the scalar loop, SelectControl against a brute-force
 # scan of the selection rule written in test code (uniform, split-carrying and
 # non-uniform grids, serial and sharded sweeps), a twin whose unscored
 # slots hold garbage selecting exactly what its clean twin selects,

@@ -91,8 +91,9 @@ func predSigma(s, zeta float64) float64 { return math.Sqrt(s*s + zeta*zeta) }
 // objective, indexed by objective id, plus the cost of a decomposed-cost
 // agent, which flush combines from the power posteriors. A slot the screen
 // drops has safe = false and its other entries unwritten: the selection
-// reads mu, sigma and lcb only at safe and seed slots, and rank only in
-// the budgeted mode, which never screens.
+// reads mu, sigma and lcb only at safe and seed slots, and rank at the
+// winner, a safe or seed slot, and otherwise only in the budgeted mode,
+// which never screens.
 type acqEngine struct {
 	a        *Agent
 	gridSize int
@@ -710,10 +711,12 @@ func (e *acqEngine) finish(start time.Time) (Control, SelectionInfo) {
 		}
 		bestLCB = e.mu[gpCost][best] - a.opts.AcqBeta*e.sigma[gpCost][best]
 	}
-	// The winner came from the seed fallback when it fails the learned
-	// safety test on its own merits.
-	fromSeed := e.mu[gpDelay][best]+a.opts.SafeBeta*e.sigma[gpDelay][best] > e.dmaxN ||
-		e.mu[gpMAP][best]-a.opts.SafeBeta*e.sigma[gpMAP][best] < e.rminN
+	// scoreRange gave rank 0 to exactly the slots that passed eq. 8, and
+	// every slot that can win here was scored: a slot that passed, or a
+	// seed, which is always evaluated and never screened. A winner that
+	// failed the test is therefore a seed slot, kept in S_t or picked by
+	// the least-violating fallback above.
+	fromSeed := e.rank[best] != 0
 	info := SelectionInfo{
 		SafeSetSize:         nSafe,
 		FromSeed:            fromSeed,

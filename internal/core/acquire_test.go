@@ -453,7 +453,7 @@ func TestAcqTelemetry(t *testing.T) {
 // objectives) and the candidates that get a variance
 // (SelectionInfo.VarianceSolves and edgebol_acq_variance_solves_total).
 func TestAcqWorkCounters(t *testing.T) {
-	run := func(t *testing.T, periods int, mut func(*Options)) (steps []stepResult, columns, solves uint64, size int) {
+	run := func(t *testing.T, periods int, mut func(*Options)) (steps []stepResult, columns, solves, swaps uint64, size int) {
 		t.Helper()
 		opts := testOptions()
 		opts.Telemetry = telemetry.NewRegistry()
@@ -465,15 +465,18 @@ func TestAcqWorkCounters(t *testing.T) {
 		steps = runAcqPeriods(t, a, 0, periods)
 		snap := opts.Telemetry.Snapshot()
 		for key, v := range snap.Counters {
-			if strings.HasPrefix(key, "edgebol_gp_sweep_columns_total{") {
+			switch {
+			case strings.HasPrefix(key, "edgebol_gp_sweep_columns_total{"):
 				columns += v
+			case strings.HasPrefix(key, "edgebol_gp_inducing_swaps_total{"):
+				swaps += v
 			}
 		}
-		return steps, columns, snap.Counters["edgebol_acq_variance_solves_total"], opts.Grid.Size()
+		return steps, columns, snap.Counters["edgebol_acq_variance_solves_total"], swaps, opts.Grid.Size()
 	}
 	t.Run("shared kernel", func(t *testing.T) {
 		const T = 5
-		steps, columns, solves, size := run(t, T, func(o *Options) { o.DisableSafeSet = true })
+		steps, columns, solves, _, size := run(t, T, func(o *Options) { o.DisableSafeSet = true })
 		if columns != T*uint64(size) {
 			t.Fatalf("built %d columns over %d periods of %d candidates, want one per candidate", columns, T, size)
 		}
@@ -489,7 +492,7 @@ func TestAcqWorkCounters(t *testing.T) {
 	})
 	t.Run("per-objective kernels", func(t *testing.T) {
 		const T = 5
-		_, columns, _, size := run(t, T, func(o *Options) {
+		_, columns, _, _, size := run(t, T, func(o *Options) {
 			o.DisableSafeSet = true
 			for i := range o.LengthScalesPerGP {
 				ls := make([]float64, ContextDims+ControlDims)
@@ -507,7 +510,7 @@ func TestAcqWorkCounters(t *testing.T) {
 		const T = 40
 		// Constraints tight enough that, once learned, the means rule out
 		// part of the grid in every scripted context.
-		steps, columns, solves, size := run(t, T, func(o *Options) {
+		steps, columns, solves, _, size := run(t, T, func(o *Options) {
 			o.Constraints = Constraints{MaxDelay: 0.5, MinMAP: 0.4}
 		})
 		var sum uint64
@@ -523,6 +526,24 @@ func TestAcqWorkCounters(t *testing.T) {
 		}
 		if solves != sum {
 			t.Fatalf("edgebol_acq_variance_solves_total = %d, the periods report %d", solves, sum)
+		}
+		if columns != T*uint64(size) {
+			t.Fatalf("built %d columns over %d periods of %d candidates, want one per candidate", columns, T, size)
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		// A basis small enough to fill and then swap: the objectives' K_mm
+		// factors must stay bitwise equal through every insert and swap,
+		// or the sweep splits them into groups of one and solves the
+		// Nyström term once per objective.
+		const T = 20
+		_, columns, _, swaps, size := run(t, T, func(o *Options) {
+			o.DisableSafeSet = true
+			o.Engine = EngineSparse
+			o.InducingPoints = 4
+		})
+		if swaps == 0 {
+			t.Fatal("no basis swap in the run: the swap path went unexercised")
 		}
 		if columns != T*uint64(size) {
 			t.Fatalf("built %d columns over %d periods of %d candidates, want one per candidate", columns, T, size)

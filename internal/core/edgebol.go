@@ -455,8 +455,12 @@ type SelectionInfo struct {
 	// mode it counts the safe points among the evaluated candidates, a
 	// lower bound on the full count.
 	SafeSetSize int
-	// FromSeed is true when no learned control passed the safety test and
-	// the acquisition fell back to the seed set S₀.
+	// FromSeed is true exactly when the selected control is a seed of S₀
+	// that failed this period's eq. 8 safety test — the informedness gate
+	// and the predictive delay and latent mAP bounds — and was chosen for
+	// its S₀ membership: kept in the safe set, or picked by the
+	// least-violating-seed fallback. It is always false under
+	// DisableSafeSet, where every evaluated candidate passes.
 	FromSeed bool
 	// Adaptive reports the agent's resolved acquisition mode: true under
 	// AcqAuto above acqAutoThreshold, where the budgeted search runs.

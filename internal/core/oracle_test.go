@@ -11,7 +11,8 @@ import (
 // informedness gate and the predictive delay bound, seed inclusion and
 // retirement, then the eq. 9 argmin (first index wins) or the SafeOpt
 // rule, and the least-violating-seed fallback. A decomposed-cost agent's
-// cost posterior is combined here from the two power GPs.
+// cost posterior is combined here from the two power GPs. fromSeed is
+// true when the winner is a seed that failed the eq. 8 test.
 func bruteForceSelection(t *testing.T, a *Agent, ctx Context) (x Control, lcb float64, safeSize int, fromSeed bool) {
 	t.Helper()
 	o := a.opts
@@ -47,12 +48,14 @@ func bruteForceSelection(t *testing.T, a *Agent, ctx Context) (x Control, lcb fl
 	lcbAt := func(i int) float64 { return cost[i].Mean - o.AcqBeta*cost[i].Sigma }
 
 	safe := make([]bool, n)
+	passed := make([]bool, n) // the eq. 8 verdict, before the seeds join
 	for i := range grid {
 		d, m := delay[i], mAP[i]
-		safe[i] = o.DisableSafeSet ||
+		passed[i] = o.DisableSafeSet ||
 			(d.Sigma < informedSigma && m.Sigma < informedSigma &&
 				d.Mean+o.SafeBeta*math.Sqrt(d.Sigma*d.Sigma+zeta*zeta) <= dmax &&
 				m.Mean-o.SafeBeta*m.Sigma >= rmin)
+		safe[i] = passed[i]
 		if safe[i] {
 			safeSize++
 		}
@@ -110,8 +113,9 @@ func bruteForceSelection(t *testing.T, a *Agent, ctx Context) (x Control, lcb fl
 			}
 		}
 	}
-	fromSeed = delay[best].Mean+o.SafeBeta*delay[best].Sigma > dmax ||
-		mAP[best].Mean-o.SafeBeta*mAP[best].Sigma < rmin
+	// Only a seed can win without passing eq. 8: kept in S_t, or picked by
+	// the fallback.
+	fromSeed = !passed[best]
 	return grid[best], lcbAt(best), safeSize, fromSeed
 }
 

@@ -72,6 +72,13 @@ const sparseRefactorEvery = 256
 // exact row/column deletion — no history pass — while inserting one costs
 // a single O(t·m·d) pass to build its row.
 //
+// The basis, K_mm and its factor depend on the inputs x and the kernel
+// alone: admission (sparseAdmit) reads τ and diag(K_mm⁻¹), and K_mm has no
+// noise term. GPs fed the same inputs on one kernel therefore build
+// bitwise-equal K_mm factors through the same Append and refactorAll
+// calls, and only Σ and α tell them apart; a sweep's column group solves
+// the ‖L_mm⁻¹k_m(x)‖² term once for all of them.
+//
 // kmm and a use a fixed stride of cfg.MaxInducing so the basis grows and
 // shrinks without reshaping; the live block is the leading m×m.
 type sparseState struct {
@@ -87,11 +94,6 @@ type sparseState struct {
 	cholKmm *linalg.Cholesky // factor of K_mm (+jitter)
 	cholSig *linalg.Cholesky // factor of Σ, rank-1 streamed + periodically rebuilt
 	alpha   []float64        // ζ⁻²·Σ⁻¹·b, length MaxInducing (live [:m])
-
-	// zeroAlpha is an all-zero mean vector: the fused panel solve requires
-	// an α of factor size, and the K_mm solve of the predictive variance
-	// has no mean term.
-	zeroAlpha []float64
 
 	sumYY float64 // Σ y², for the streaming log marginal likelihood
 
@@ -111,17 +113,16 @@ type sparseState struct {
 func newSparseState(cfg SparseConfig, dim int) *sparseState {
 	capm := cfg.MaxInducing
 	return &sparseState{
-		cfg:       cfg,
-		zs:        make([]float64, 0, capm*dim),
-		kmm:       make([]float64, capm*capm),
-		a:         make([]float64, capm*capm),
-		b:         make([]float64, capm),
-		alpha:     make([]float64, 0, capm),
-		zeroAlpha: make([]float64, capm),
-		qdiag:     make([]float64, capm),
-		kbuf:      make([]float64, capm),
-		vbuf:      make([]float64, capm),
-		solve1:    make([][]float64, 1),
+		cfg:    cfg,
+		zs:     make([]float64, 0, capm*dim),
+		kmm:    make([]float64, capm*capm),
+		a:      make([]float64, capm*capm),
+		b:      make([]float64, capm),
+		alpha:  make([]float64, 0, capm),
+		qdiag:  make([]float64, capm),
+		kbuf:   make([]float64, capm),
+		vbuf:   make([]float64, capm),
+		solve1: make([][]float64, 1),
 	}
 }
 

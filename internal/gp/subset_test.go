@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/telemetry"
 )
 
@@ -213,23 +214,29 @@ func nanRows(k, m int) [][]float64 {
 // TestSweepSubsetColumnGroups pins the multi-plan sweep without a screen:
 // every plan's outputs equal its GP's Posterior bitwise for every worker
 // count, and the sweep builds one column per candidate for each group of
-// plans whose GPs share kernel, engine and basis — one group when the GPs
-// run in lockstep on one kernel, one per plan when their kernels differ,
-// and a group of its own for a GP whose basis has moved ahead.
+// plans whose GPs share kernel, engine and basis and, on the sparse
+// engine, the K_mm factor — one group when the GPs run in lockstep on one
+// kernel, one per plan when their kernels differ, and a group of its own
+// for a GP whose basis has moved ahead or whose K_mm factor is one ulp
+// off the others'.
 func TestSweepSubsetColumnGroups(t *testing.T) {
 	const ctxDims = 3
 	levels := sweepLevels([]int{5, 4, 3, 4})
 	ctx := []float64{0.2, 0.7, 0.4}
 	for _, sparse := range []bool{false, true} {
-		for _, kernels := range []string{"shared", "distinct", "diverged"} {
+		for _, kernels := range []string{"shared", "distinct", "diverged", "factor"} {
+			if kernels == "factor" && !sparse {
+				continue // the exact engine has no K_mm factor
+			}
 			t.Run(fmt.Sprintf("sparse=%v/%s", sparse, kernels), func(t *testing.T) {
 				obs := 37
 				if kernels == "diverged" {
 					obs = 10 // below the sparse basis budget, so the next input is admitted
 				}
 				gps := lockstepGPs(t, sparse, kernels != "distinct", ctxDims, len(levels), obs)
-				groups := map[string]int{"shared": 1, "distinct": 3, "diverged": 2}[kernels]
-				if kernels == "diverged" {
+				groups := map[string]int{"shared": 1, "distinct": 3, "diverged": 2, "factor": 2}[kernels]
+				switch kernels {
+				case "diverged":
 					// One more input enters only the last GP's basis.
 					if err := gps[2].Add([]float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, 0.1); err != nil {
 						t.Fatal(err)
@@ -237,6 +244,17 @@ func TestSweepSubsetColumnGroups(t *testing.T) {
 					if gps[2].basisLen() == gps[1].basisLen() {
 						t.Fatal("the extra input did not enter the basis")
 					}
+				case "factor":
+					// The last GP keeps its basis rows; its K_mm factor moves
+					// one ulp in its last entry.
+					c := gps[2].sp.cholKmm
+					l := c.FactorData()
+					l[len(l)-1] = math.Nextafter(l[len(l)-1], math.Inf(1))
+					off, err := linalg.NewCholeskyFromFactor(c.Size(), l, c.Jitter())
+					if err != nil {
+						t.Fatal(err)
+					}
+					gps[2].sp.cholKmm = off
 				}
 				plans, columns := instrumentedPlans(t, gps, ctxDims, levels, telemetry.NewRegistry())
 				feats := enumerateGrid(ctx, levels)

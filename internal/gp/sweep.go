@@ -228,13 +228,15 @@ type Screen struct {
 // len(idxs) and parallel to idxs. The plans must sweep one grid (equal
 // context dimension and level values).
 //
-// Plans whose GPs share the kernel family, the length scales, the engine
-// and the basis rows form a column group. The sweep builds each
-// candidate's cross-covariance column once per group, from the first
-// member's distance tables, and runs every member's own fused solves on
-// it. Groups are recomputed on every call, so GPs that receive the same
-// inputs in lockstep share their columns with no further bookkeeping, and
-// a plan that matches no other forms a group of one.
+// Plans whose GPs share the kernel family, the length scales, the engine,
+// the basis rows and, on the sparse engine, the K_mm factor form a column
+// group. The sweep builds each candidate's cross-covariance column once
+// per group, from the first member's distance tables, solves a sparse
+// group's Nyström term once against the shared K_mm factor, and runs
+// every member's own fused solve on it. Groups are recomputed on every
+// call, so GPs that receive the same inputs in lockstep share their
+// columns with no further bookkeeping, and a plan that matches no other
+// forms a group of one.
 //
 // With a nil screen every output is written. With a screen, the Means
 // plans' mu is written at every position and the remaining outputs only at
@@ -318,7 +320,8 @@ type sweep struct {
 }
 
 // sweepGroup is a column group: plans whose GPs produce bitwise-equal
-// cross-covariance columns.
+// cross-covariance columns and, on the sparse engine, hold bitwise-equal
+// K_mm factors.
 type sweepGroup struct {
 	lead     *SweepPlan // the first member; its tables build the columns
 	members  []int      // plan positions, ascending
@@ -359,15 +362,20 @@ func newSweep(plans []*SweepPlan, ctx []float64, idxs []int32, screen *Screen, m
 }
 
 // sharesColumns reports whether two plans' GPs produce bitwise-equal
-// cross-covariance columns on their common grid: the same kernel family,
-// length scales, engine and basis rows. It costs O(n·d) compares, noise
-// next to the sweep that follows.
+// cross-covariance columns on their common grid — the same kernel family,
+// length scales, engine and basis rows — and, on the sparse engine, also
+// bitwise-equal K_mm factors, so the group's one Nyström solve serves
+// every member. It costs O(n·d) compares, plus O(m²) for a sparse pair,
+// noise next to the sweep that follows.
 func sharesColumns(a, b *SweepPlan) bool {
 	ga, gb := a.g, b.g
 	n := ga.basisLen()
-	return ga.kernel.family == gb.kernel.family && (ga.sp == nil) == (gb.sp == nil) &&
-		gb.basisLen() == n && sameBits(ga.kernel.ls, gb.kernel.ls) &&
-		sameBits(ga.basisXs()[:n*ga.dim], gb.basisXs()[:n*gb.dim])
+	if ga.kernel.family != gb.kernel.family || (ga.sp == nil) != (gb.sp == nil) ||
+		gb.basisLen() != n || !sameBits(ga.kernel.ls, gb.kernel.ls) ||
+		!sameBits(ga.basisXs()[:n*ga.dim], gb.basisXs()[:n*gb.dim]) {
+		return false
+	}
+	return ga.sp == nil || n == 0 || ga.sp.cholKmm.SameFactor(gb.sp.cholKmm)
 }
 
 // sameGrid reports whether two plans sweep the same grid.
@@ -417,8 +425,7 @@ type shardScratch struct {
 	means     []float64
 	pos       [sweepTile]int // index-list position of each pending column
 	mt, vsq   [sweepTile]float64
-	muNy      [sweepTile]float64
-	vsqNy     [sweepTile]float64
+	nys       [sweepTile]float64 // a sparse group's Nyström terms ‖L_mm⁻¹k‖²
 	solver    linalg.FusedSolver
 }
 
@@ -514,16 +521,18 @@ func (s *sweep) buildColumn(sc *shardScratch, k, b int) {
 }
 
 // solvePending runs the cnt pending columns of every group through each
-// member's fused solves — one against the exact engine's factor, or the
-// two of Posterior's sparse branch — and writes the results at the
-// candidates' positions. A fused solve consumes its columns, so every
-// solve but a group's last runs on a copy.
+// member's fused solve — against the exact engine's factor, or the sparse
+// engine's Σ factor — and writes the results at the candidates' positions.
+// A sparse group first solves its Nyström terms ‖L_mm⁻¹k‖² once, variance
+// only, against the K_mm factor its members share (sharesColumns checks
+// it), and every member's σ² = prior − ‖L_mm⁻¹k‖² + ‖L_Σ⁻¹k‖² reads them,
+// in Posterior's order. A fused solve consumes its columns, so every solve
+// but a group's last runs on a copy.
 //
 //edgebol:hot
 func (s *sweep) solvePending(sc *shardScratch, cnt int) {
 	pos := sc.pos[:cnt]
 	mt, vsq := sc.mt[:cnt], sc.vsq[:cnt]
-	muNy, vsqNy := sc.muNy[:cnt], sc.vsqNy[:cnt]
 	for k := range s.groups {
 		gr := &s.groups[k]
 		if gr.n == 0 {
@@ -534,29 +543,26 @@ func (s *sweep) solvePending(sc *shardScratch, cnt int) {
 			}
 			continue
 		}
-		solves := len(gr.members)
-		if gr.lead.g.sp != nil {
-			solves *= 2
+		var nys []float64
+		if sp := gr.lead.g.sp; sp != nil {
+			nys = sc.nys[:cnt]
+			sc.solver.SolveFused(sp.cholKmm, sc.operand(k, gr.n, cnt, false), nil, nil, nys)
 		}
-		for _, i := range gr.members {
+		for mi, i := range gr.members {
 			g := s.plans[i].g
+			last := mi == len(gr.members)-1
 			if g.sp == nil {
-				solves--
-				sc.solver.SolveFused(g.chol, sc.operand(k, gr.n, cnt, solves == 0), g.alpha, mt, vsq)
-				for b, j := range pos {
-					v := priorVar - vsq[b]
-					if v < 0 {
-						v = 0
-					}
-					s.mu[i][j], s.sigma[i][j] = mt[b], math.Sqrt(v)
-				}
-				continue
+				sc.solver.SolveFused(g.chol, sc.operand(k, gr.n, cnt, last), g.alpha, mt, vsq)
+			} else {
+				sc.solver.SolveFused(g.sp.cholSig, sc.operand(k, gr.n, cnt, last), g.sp.alpha, mt, vsq)
 			}
-			solves -= 2
-			sc.solver.SolveFused(g.sp.cholSig, sc.operand(k, gr.n, cnt, false), g.sp.alpha, mt, vsq)
-			sc.solver.SolveFused(g.sp.cholKmm, sc.operand(k, gr.n, cnt, solves == 0), g.sp.zeroAlpha[:gr.n], muNy, vsqNy)
 			for b, j := range pos {
-				v := priorVar - vsqNy[b] + vsq[b]
+				var v float64
+				if nys != nil {
+					v = priorVar - nys[b] + vsq[b]
+				} else {
+					v = priorVar - vsq[b]
+				}
 				if v < 0 {
 					v = 0
 				}

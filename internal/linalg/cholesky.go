@@ -257,6 +257,23 @@ func (c *Cholesky) FactorData() []float64 {
 	return append([]float64(nil), c.l...)
 }
 
+// SameFactor reports whether c and o hold bitwise-equal factors: the same
+// size and the same bit pattern in every packed entry, so every solve
+// against one reproduces the other's result. It reads both factors in
+// place and allocates nothing; the jitter, which no solve reads, is not
+// compared.
+func (c *Cholesky) SameFactor(o *Cholesky) bool {
+	if c.n != o.n {
+		return false
+	}
+	for i, v := range c.l {
+		if math.Float64bits(v) != math.Float64bits(o.l[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // NewCholeskyFromFactor reconstructs a Cholesky from a packed factor
 // previously obtained via FactorData. It validates the packed length and
 // that every entry is finite with strictly positive diagonals — the

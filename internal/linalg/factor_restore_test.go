@@ -74,6 +74,29 @@ func TestFactorDataIsACopy(t *testing.T) {
 	}
 }
 
+// TestSameFactor pins the bit compare: a restored copy matches, a copy
+// one ulp off in its last entry or of another size does not, and the
+// compare allocates nothing.
+func TestSameFactor(t *testing.T) {
+	c := appendedCholesky(t, 12)
+	l := c.FactorData()
+	twin, err := NewCholeskyFromFactor(c.Size(), l, c.Jitter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l[len(l)-1] = math.Nextafter(l[len(l)-1], math.Inf(1))
+	off, err := NewCholeskyFromFactor(c.Size(), l, c.Jitter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.SameFactor(c) || !c.SameFactor(twin) || c.SameFactor(off) || c.SameFactor(appendedCholesky(t, 11)) {
+		t.Fatal("SameFactor disagrees with the factors' bits")
+	}
+	if n := testing.AllocsPerRun(10, func() { c.SameFactor(twin) }); n != 0 {
+		t.Fatalf("SameFactor allocates %v times per call", n)
+	}
+}
+
 func TestNewCholeskyFromFactorValidation(t *testing.T) {
 	good := appendedCholesky(t, 3)
 	l := good.FactorData()

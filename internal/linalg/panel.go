@@ -69,7 +69,9 @@ type FusedSolver struct {
 
 // SolveFused consumes cols (each of length c.Size()), writing the fused
 // results into mu and vsq (each of length len(cols)). The contents of cols
-// afterwards are unspecified.
+// afterwards are unspecified. A nil alpha asks for the variance-only form:
+// the mean is skipped on every path, mu is not written and may be nil, and
+// each vsq[j] is bitwise the one a call with an alpha writes.
 //
 // Full tiles of PanelWidth columns go through the interleaved-panel kernel
 // when the CPU supports it; the remainder (and every column on CPUs
@@ -78,10 +80,10 @@ type FusedSolver struct {
 // is identical on every path, so results are bitwise independent of the
 // tiling, of how callers batch columns, and of the instruction set.
 func (s *FusedSolver) SolveFused(c *Cholesky, cols [][]float64, alpha, mu, vsq []float64) {
-	if len(mu) != len(cols) || len(vsq) != len(cols) {
+	if len(vsq) != len(cols) || (alpha != nil && len(mu) != len(cols)) {
 		panic(fmt.Sprintf("linalg: SolveFused output lengths %d, %d do not match %d columns", len(mu), len(vsq), len(cols)))
 	}
-	if len(alpha) != c.n {
+	if alpha != nil && len(alpha) != c.n {
 		panic(fmt.Sprintf("linalg: SolveFused alpha length %d does not match size %d", len(alpha), c.n))
 	}
 	for _, y := range cols {
@@ -92,11 +94,16 @@ func (s *FusedSolver) SolveFused(c *Cholesky, cols [][]float64, alpha, mu, vsq [
 	if panelKernel != panelKernelNone && c.n > 0 {
 		for len(cols) >= PanelWidth {
 			s.solveTile(c, cols[:PanelWidth], alpha, mu, vsq)
-			cols, mu, vsq = cols[PanelWidth:], mu[PanelWidth:], vsq[PanelWidth:]
+			cols, vsq = cols[PanelWidth:], vsq[PanelWidth:]
+			if alpha != nil {
+				mu = mu[PanelWidth:]
+			}
 		}
 	}
-	for j, y := range cols {
-		mu[j] = Dot(y, alpha)
+	if alpha != nil {
+		for j, y := range cols {
+			mu[j] = Dot(y, alpha)
+		}
 	}
 	c.ForwardSolveBatch(cols)
 	for j, y := range cols {
@@ -105,21 +112,38 @@ func (s *FusedSolver) SolveFused(c *Cholesky, cols [][]float64, alpha, mu, vsq [
 }
 
 // solveTile handles exactly PanelWidth columns: interleave (fusing the mean
-// dot product), solve the panel in place, read back ‖x_j‖² row-major (the
-// same ascending-index accumulation chain as Dot(x, x)).
+// dot products unless alpha is nil), solve the panel in place, read back
+// ‖x_j‖² row-major. The means run four columns per pass over alpha, each
+// in its own chain, and every chain — mean or norm — accumulates in
+// ascending index order, the order of Dot.
 func (s *FusedSolver) solveTile(c *Cholesky, cols [][]float64, alpha, mu, vsq []float64) {
 	n := c.n
 	if cap(s.panel) < n*PanelWidth {
 		s.panel = make([]float64, n*PanelWidth)
 	}
 	panel := s.panel[:n*PanelWidth]
-	for j, y := range cols {
-		var m float64
-		for i, v := range y {
-			panel[i*PanelWidth+j] = v
-			m += float64(v * alpha[i])
+	if alpha == nil {
+		for j, y := range cols {
+			for i, v := range y[:n] {
+				panel[i*PanelWidth+j] = v
+			}
 		}
-		mu[j] = m
+	} else {
+		alpha = alpha[:n]
+		for j := 0; j < PanelWidth; j += 4 {
+			y0, y1, y2, y3 := cols[j][:n], cols[j+1][:n], cols[j+2][:n], cols[j+3][:n]
+			var m0, m1, m2, m3 float64
+			for i, a := range alpha {
+				v0, v1, v2, v3 := y0[i], y1[i], y2[i], y3[i]
+				p := panel[i*PanelWidth+j : i*PanelWidth+j+4 : i*PanelWidth+j+4]
+				p[0], p[1], p[2], p[3] = v0, v1, v2, v3
+				m0 += float64(v0 * a)
+				m1 += float64(v1 * a)
+				m2 += float64(v2 * a)
+				m3 += float64(v3 * a)
+			}
+			mu[j], mu[j+1], mu[j+2], mu[j+3] = m0, m1, m2, m3
+		}
 	}
 	panelSolve(c, panel)
 	var acc [PanelWidth]float64

@@ -39,25 +39,36 @@ func fusedReference(c *Cholesky, cols [][]float64, alpha []float64) (mu, vsq []f
 	return mu, vsq
 }
 
-// checkFused runs SolveFused on fresh copies of cols and requires bitwise
-// agreement with the forwardSolve1 reference.
-func checkFused(t *testing.T, c *Cholesky, cols [][]float64, alpha []float64) {
-	t.Helper()
-	refMu, refVsq := fusedReference(c, cols, alpha)
+// copyCols returns fresh copies of cols for a solve to consume.
+func copyCols(cols [][]float64) [][]float64 {
 	work := make([][]float64, len(cols))
 	for j := range cols {
 		work[j] = append([]float64(nil), cols[j]...)
 	}
+	return work
+}
+
+// checkFused runs SolveFused on fresh copies of cols, with alpha and in the
+// variance-only form, and requires bitwise agreement with the forwardSolve1
+// reference.
+func checkFused(t *testing.T, c *Cholesky, cols [][]float64, alpha []float64) {
+	t.Helper()
+	refMu, refVsq := fusedReference(c, cols, alpha)
 	mu := make([]float64, len(cols))
 	vsq := make([]float64, len(cols))
 	var s FusedSolver
-	s.SolveFused(c, work, alpha, mu, vsq)
+	s.SolveFused(c, copyCols(cols), alpha, mu, vsq)
+	vsqOnly := make([]float64, len(cols))
+	s.SolveFused(c, copyCols(cols), nil, nil, vsqOnly)
 	for j := range cols {
 		if mu[j] != refMu[j] { //edgebol:allow floateq -- bitwise-identity contract of the fused solver
 			t.Fatalf("n=%d width=%d col %d: mu %x, reference %x", c.Size(), len(cols), j, mu[j], refMu[j])
 		}
 		if vsq[j] != refVsq[j] { //edgebol:allow floateq -- bitwise-identity contract of the fused solver
 			t.Fatalf("n=%d width=%d col %d: vsq %x, reference %x", c.Size(), len(cols), j, vsq[j], refVsq[j])
+		}
+		if vsqOnly[j] != vsq[j] { //edgebol:allow floateq -- the variance-only form's vsq is bitwise the alpha call's
+			t.Fatalf("n=%d width=%d col %d: variance-only vsq %x, with alpha %x", c.Size(), len(cols), j, vsqOnly[j], vsq[j])
 		}
 	}
 }
@@ -86,7 +97,8 @@ func forEachPanelKernel(t *testing.T, fn func(t *testing.T, level string)) {
 // TestSolveFusedMatchesScalar is the tiled-solve property test: on random
 // SPD systems of assorted sizes — n=1 included — and panel widths that are
 // not multiples of the tile, every supported kernel level must reproduce
-// the forwardSolve1 reference bit for bit.
+// the forwardSolve1 reference bit for bit, and the variance-only form must
+// write the same vsq as the call with alpha.
 func TestSolveFusedMatchesScalar(t *testing.T) {
 	forEachPanelKernel(t, func(t *testing.T, level string) {
 		for _, n := range []int{1, 2, 3, 7, 31, 32, 33, 100, 257} {
@@ -113,8 +125,9 @@ func TestSolveFusedMatchesScalar(t *testing.T) {
 }
 
 // TestSolveFusedKernelLevelsAgree pins the vector kernels against each
-// other directly: the same panel solved at every supported level must give
-// one bitwise answer, so results cannot depend on the host CPU.
+// other directly: the same panel solved at every supported level, with
+// alpha and in the variance-only form, must give one bitwise answer, so
+// results cannot depend on the host CPU.
 func TestSolveFusedKernelLevelsAgree(t *testing.T) {
 	const n, w = 129, 64
 	c := randSPDChol(t, n, 9)
@@ -132,27 +145,25 @@ func TestSolveFusedKernelLevelsAgree(t *testing.T) {
 		cols[j] = col
 	}
 	type result struct {
-		level   string
-		mu, vsq []float64
+		level            string
+		mu, vsq, vsqOnly []float64
 	}
 	var results []result
 	forEachPanelKernel(t, func(t *testing.T, level string) {
-		work := make([][]float64, w)
-		for j := range cols {
-			work[j] = append([]float64(nil), cols[j]...)
-		}
 		mu := make([]float64, w)
 		vsq := make([]float64, w)
+		vsqOnly := make([]float64, w)
 		var s FusedSolver
-		s.SolveFused(c, work, alpha, mu, vsq)
-		results = append(results, result{level, mu, vsq})
+		s.SolveFused(c, copyCols(cols), alpha, mu, vsq)
+		s.SolveFused(c, copyCols(cols), nil, nil, vsqOnly)
+		results = append(results, result{level, mu, vsq, vsqOnly})
 	})
 	base := results[0]
-	for _, r := range results[1:] {
+	for _, r := range results {
 		for j := range base.mu {
-			if r.mu[j] != base.mu[j] || r.vsq[j] != base.vsq[j] { //edgebol:allow floateq -- bitwise identity across kernel levels
-				t.Fatalf("col %d: %s (%x,%x) differs from %s (%x,%x)",
-					j, r.level, r.mu[j], r.vsq[j], base.level, base.mu[j], base.vsq[j])
+			if r.mu[j] != base.mu[j] || r.vsq[j] != base.vsq[j] || r.vsqOnly[j] != base.vsq[j] { //edgebol:allow floateq -- bitwise identity across kernel levels
+				t.Fatalf("col %d: %s (%x,%x,%x) differs from %s (%x,%x)",
+					j, r.level, r.mu[j], r.vsq[j], r.vsqOnly[j], base.level, base.mu[j], base.vsq[j])
 			}
 		}
 	}
@@ -175,6 +186,10 @@ func TestSolveFusedValidation(t *testing.T) {
 			var s FusedSolver
 			s.SolveFused(c, cols, alpha[:2], make([]float64, 1), make([]float64, 1))
 		}},
+		{"short variance-only output", func() {
+			var s FusedSolver
+			s.SolveFused(c, cols, nil, nil, nil)
+		}},
 		{"short column", func() {
 			var s FusedSolver
 			s.SolveFused(c, [][]float64{make([]float64, 3)}, alpha, make([]float64, 1), make([]float64, 1))
@@ -193,7 +208,8 @@ func TestSolveFusedValidation(t *testing.T) {
 }
 
 // FuzzSolveFused drives random system sizes, widths, and contents through
-// every kernel level against the scalar reference.
+// every kernel level against the scalar reference, with alpha and in the
+// variance-only form.
 func FuzzSolveFused(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1))
 	f.Add(int64(2), uint8(32), uint8(40))
